@@ -161,13 +161,13 @@ fn store_phase(classes: &mut HashSet<CrashPoint>) -> Result<Vec<StoreSeed>, Box<
             violations += 1;
         }
         let injections = plan.take_injections();
-        classes.extend(injections.iter().map(|i| i.point));
+        classes.extend(injections.iter().map(|i| i.kind));
         out.push(StoreSeed {
             seed,
             attempts,
             injections: injections.len(),
-            truncate_temp: injections.iter().filter(|i| i.point == CrashPoint::TruncateTemp).count(),
-            skip_rename: injections.iter().filter(|i| i.point == CrashPoint::SkipRename).count(),
+            truncate_temp: injections.iter().filter(|i| i.kind == CrashPoint::TruncateTemp).count(),
+            skip_rename: injections.iter().filter(|i| i.kind == CrashPoint::SkipRename).count(),
             committed_violations: violations,
             orphans_after_clean_save: orphan_count(&path),
         });
@@ -221,7 +221,7 @@ fn journal_phase(classes: &mut HashSet<CrashPoint>) -> Result<Vec<JournalSeed>, 
                 replayed.done_result(&format!("job-{i}"))
                     == Some(Value::Obj(vec![("n".to_string(), Value::Num(i as f64))]))
             });
-        classes.extend(plan.take_injections().iter().map(|i| i.point));
+        classes.extend(plan.take_injections().iter().map(|i| i.kind));
         out.push(JournalSeed {
             seed,
             records: records.len(),

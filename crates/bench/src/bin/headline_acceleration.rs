@@ -7,7 +7,7 @@
 //! mapping phase by 9.1×." The factor is 1/(1 − recall@10) of the best
 //! model on the rich-annotation setting.
 //!
-//! Before the headline experiment, the parallel engine is measured four
+//! Before the headline experiment, the parallel engine is measured three
 //! ways and the results written to `BENCH_parallel.json`:
 //!
 //! 1. **Stages** — every parallelized pipeline stage timed at 1 worker
@@ -16,11 +16,7 @@
 //!    takes the min of `repetitions` runs.
 //! 2. **Sharding sweep** — mapper `recommend` latency as the leaf
 //!    corpus is partitioned into 1..32 shards.
-//! 3. **Engine overhead** — the same repeated fan-out workload through
-//!    the persistent pool and through the retired spawn-per-call engine
-//!    (`nassim_exec::legacy`), isolating the per-call spawn cost the
-//!    pool eliminates.
-//! 4. **Hierarchy fix** — the `hierarchy_derivation` speedup before the
+//! 3. **Hierarchy fix** — the `hierarchy_derivation` speedup before the
 //!    min-chunk fix (0.64×, from the PR-5 baseline JSON) next to the
 //!    measured value after it.
 //!
@@ -94,14 +90,6 @@ struct ShardTiming {
 }
 
 #[derive(serde::Serialize)]
-struct EngineOverhead {
-    workload: String,
-    legacy_spawn_ms: f64,
-    pool_ms: f64,
-    pool_speedup_vs_spawn: f64,
-}
-
-#[derive(serde::Serialize)]
 struct HierarchyFix {
     speedup_before_fix: f64,
     speedup_after_fix: f64,
@@ -128,7 +116,6 @@ struct ParallelBench {
     repetitions: usize,
     stages: Vec<StageTiming>,
     sharding_sweep: Vec<ShardTiming>,
-    engine_overhead: Vec<EngineOverhead>,
     hierarchy_fix: HierarchyFix,
     gates: SpeedupGates,
 }
@@ -285,43 +272,6 @@ fn parallel_bench(smoke: bool) -> Result<ParallelBench, Box<dyn std::error::Erro
         sweep.push(t);
     }
 
-    // ── Pool vs spawn-per-call: the overhead the pool removes. ────────
-    // Many small fan-outs over cheap items — the pattern that made
-    // stages *slower* in parallel under the old engine.
-    let micro_items: Vec<u64> = (0..4096).collect();
-    let pool_run = || {
-        let mut acc = 0u64;
-        for _ in 0..100 {
-            acc ^= nassim_exec::par_map_chunked(&micro_items, 64, |&x| x.wrapping_mul(2654435761))
-                .iter()
-                .fold(0u64, |a, &b| a ^ b);
-        }
-        acc
-    };
-    let legacy_run = || {
-        let mut acc = 0u64;
-        for _ in 0..100 {
-            acc ^= nassim_exec::legacy::par_map_indexed_chunked(&micro_items, 64, |_, &x| {
-                x.wrapping_mul(2654435761)
-            })
-            .iter()
-            .fold(0u64, |a, &b| a ^ b);
-        }
-        acc
-    };
-    let pool_ms = timed_min(workers, reps, pool_run);
-    let legacy_ms = timed_min(workers, reps, legacy_run);
-    let overhead = EngineOverhead {
-        workload: "100 fan-outs x 4096 cheap items".to_string(),
-        legacy_spawn_ms: legacy_ms,
-        pool_ms,
-        pool_speedup_vs_spawn: if pool_ms > 0.0 { legacy_ms / pool_ms } else { 0.0 },
-    };
-    println!(
-        "  engine overhead: legacy spawn {:.1} ms vs pool {:.1} ms => {:.2}x",
-        overhead.legacy_spawn_ms, overhead.pool_ms, overhead.pool_speedup_vs_spawn
-    );
-
     // ── Gate evaluation (hardware-conditional). ───────────────────────
     let hw = hardware_threads();
     let enforced = !smoke && hw >= GATE_MIN_HW_THREADS;
@@ -356,7 +306,6 @@ fn parallel_bench(smoke: bool) -> Result<ParallelBench, Box<dyn std::error::Erro
         repetitions: reps,
         stages,
         sharding_sweep: sweep,
-        engine_overhead: vec![overhead],
         hierarchy_fix: HierarchyFix {
             speedup_before_fix: HIERARCHY_SPEEDUP_BEFORE_FIX,
             speedup_after_fix: hierarchy_after,

@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pages = manual.pages.clone();
     let pages_corrupted = plan.corrupt_pages(&mut pages);
     let injected = plan.take_injections();
-    let corrupted: HashSet<&str> = injected.iter().map(|c| c.url.as_str()).collect();
+    let corrupted: HashSet<&str> = injected.iter().map(|c| c.subject.as_str()).collect();
 
     let t = Instant::now();
     let out = assimilate(

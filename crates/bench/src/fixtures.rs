@@ -5,6 +5,7 @@
 use nassim::diag::NassimError;
 use nassim::modelzoo::{ModelZoo, PretrainOptions};
 use nassim::pipeline::{assimilate, Assimilation};
+use nassim_corpus::hash::fnv1a_str;
 use nassim_datasets::catalog::Catalog;
 use nassim_datasets::configgen::{self, ConfigCorpus, ConfigGenOptions};
 use nassim_datasets::manualgen::{self, GenOptions, Manual};
@@ -62,7 +63,7 @@ pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimE
         &style,
         &catalog,
         &GenOptions {
-            seed: SEED ^ fnv(vendor),
+            seed: SEED ^ fnv1a_str(vendor),
             scale_extra: extra,
             syntax_error_rate: 0.004,
             ambiguity_rate: 0.03,
@@ -84,7 +85,7 @@ pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimE
                 &style,
                 &catalog,
                 &GenOptions {
-                    seed: SEED ^ fnv(vendor),
+                    seed: SEED ^ fnv1a_str(vendor),
                     scale_extra: extra,
                     syntax_error_rate: 0.0,
                     ambiguity_rate: 0.0,
@@ -104,7 +105,7 @@ pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimE
             &style,
             &catalog,
             &ConfigGenOptions {
-                seed: SEED ^ fnv(vendor) ^ 0xC0F1,
+                seed: SEED ^ fnv1a_str(vendor) ^ 0xC0F1,
                 files,
                 active_fraction: 0.12,
                 stanzas_per_file: 24,
@@ -120,15 +121,6 @@ pub fn construct_vendor(vendor: &str, extra: usize) -> Result<VendorRun, NassimE
         corrected: corrected?,
         config_corpus,
     })
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Everything Table 5 / Table 6 need: per-setting, per-model reports.
@@ -181,7 +173,7 @@ pub fn mapping_experiment(ks: &[usize]) -> Result<MappingOutcome, NassimError> {
             &style,
             &catalog,
             &GenOptions {
-                seed: SEED ^ fnv(vendor),
+                seed: SEED ^ fnv1a_str(vendor),
                 syntax_error_rate: 0.0,
                 ambiguity_rate: 0.0,
                 ..Default::default()
@@ -219,7 +211,7 @@ pub fn mapping_experiment(ks: &[usize]) -> Result<MappingOutcome, NassimError> {
         Ok(match keep {
             Some(k) => {
                 let entries: Vec<_> = udm_data.alignment.clone();
-                let sampled = sample_annotations(&entries, k, SEED ^ fnv(vendor));
+                let sampled = sample_annotations(&entries, k, SEED ^ fnv1a_str(vendor));
                 sampled
                     .iter()
                     .map(|a| {

@@ -56,7 +56,7 @@
 //! [`Stage::Internal`] diagnostic and every loss is only a future
 //! cache miss, re-derived from source.
 
-use crate::crash::{atomic_write, CrashPlan};
+use crate::crash::{atomic_write, global_crash_plan, CrashPlan};
 use crate::pipeline::{finish_assimilation, keyed_pages, Assimilation};
 use nassim_corpus::{fnv1a_str, Fnv1a};
 use nassim_diag::NassimError;
@@ -171,10 +171,10 @@ impl ArtifactStore {
     /// and reloading cannot change any future assimilation result.
     ///
     /// Honours the process-wide `NASSIM_CRASH` plan
-    /// ([`CrashPlan::global`]); tests inject explicit plans through
+    /// ([`global_crash_plan`]); tests inject explicit plans through
     /// [`ArtifactStore::save_with`].
     pub fn save(&self, path: &Path) -> Result<(), NassimError> {
-        self.save_with(path, CrashPlan::global())
+        self.save_with(path, global_crash_plan())
     }
 
     /// [`ArtifactStore::save`] under an explicit [`CrashPlan`] (or none).

@@ -3,8 +3,9 @@
 //!
 //! The fourth fault-plan family, after the device `FaultPlan`
 //! (`NASSIM_FAULTS`), the ingestion `CorruptionPlan`
-//! (`NASSIM_CORRUPTION`) and the serving `ServeFaultPlan`
-//! (`NASSIM_SERVE_FAULTS`): a [`CrashPlan`] decides deterministically,
+//! (`NASSIM_CORRUPT`) and the serving `ServeFaultPlan`: a [`CrashPlan`]
+//! — the shared seeded plan of [`nassim_diag::chaos`] — decides
+//! deterministically,
 //! per persistence operation, whether the "process dies" at a kill
 //! point inside that operation — the temp file truncated at an
 //! arbitrary byte offset ([`CrashPoint::TruncateTemp`]), the atomic
@@ -30,12 +31,10 @@
 //!   detects by checksum and discards (WAL semantics).
 //!
 //! Armed process-wide via `NASSIM_CRASH=seed:rate`
-//! ([`CrashPlan::global`]); tests pass explicit plans.
+//! ([`global_crash_plan`]); tests pass explicit plans.
 
+use nassim_diag::chaos::{FaultClass, Injection, SeededPlan};
 use nassim_diag::NassimError;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -61,7 +60,7 @@ pub enum CrashPoint {
 }
 
 impl CrashPoint {
-    /// All kill points, in the order [`CrashPlan::decide`] draws them.
+    /// All kill points, in the order a [`CrashPlan`] draws them.
     pub const ALL: [CrashPoint; 3] = [
         CrashPoint::TruncateTemp,
         CrashPoint::SkipRename,
@@ -87,6 +86,10 @@ impl std::fmt::Display for CrashPoint {
     }
 }
 
+impl FaultClass for CrashPoint {
+    const ALL: &'static [CrashPoint] = &CrashPoint::ALL;
+}
+
 /// The persistence operation a [`CrashPlan`] decision is drawn for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistOp {
@@ -96,12 +99,9 @@ pub enum PersistOp {
     JournalAppend,
 }
 
-/// One recorded injection.
+/// Where an injected crash struck.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedCrash {
-    /// Monotonic injection sequence number (0-based).
-    pub seq: u64,
-    pub point: CrashPoint,
+pub struct CrashSite {
     /// The destination path of the interrupted operation.
     pub path: String,
     /// Byte offset the "process died" at, for the torn classes
@@ -110,110 +110,50 @@ pub struct InjectedCrash {
     pub offset: Option<usize>,
 }
 
-struct PlanState {
-    rng: StdRng,
-    seq: u64,
-    log: Vec<InjectedCrash>,
+/// A seeded, shareable crash plan over persistence operations.
+pub type CrashPlan = SeededPlan<CrashPoint, CrashSite>;
+
+/// One recorded injection: which kill point fired, and where.
+pub type InjectedCrash = Injection<CrashPoint, CrashSite>;
+
+/// The process-wide plan, armed once from `NASSIM_CRASH` on first use.
+/// `None` (the production state) means every persistence operation runs
+/// clean. A fresh plan per save would reseed the RNG each time and make
+/// every operation draw identically, so the global is the only
+/// env-driven entry point; tests that need isolation pass explicit plans
+/// instead.
+pub fn global_crash_plan() -> Option<&'static CrashPlan> {
+    static GLOBAL: OnceLock<Option<CrashPlan>> = OnceLock::new();
+    GLOBAL
+        .get_or_init(|| CrashPlan::from_env("NASSIM_CRASH"))
+        .as_ref()
 }
 
-/// A seeded, shareable crash plan (same discipline as the other three
-/// fault-plan families: fixed draws per persistence operation — one
-/// `gen_bool` per kill point in [`CrashPoint::ALL`] order plus one
-/// offset draw, even after a hit — first *applicable* hit wins, so each
-/// run replays bit-for-bit from its seed).
-pub struct CrashPlan {
-    rate: f64,
-    state: Mutex<PlanState>,
-}
-
-impl CrashPlan {
-    /// Every kill point at the same `rate`, seeded.
-    pub fn uniform(seed: u64, rate: f64) -> CrashPlan {
-        CrashPlan {
-            rate,
-            state: Mutex::new(PlanState {
-                rng: StdRng::seed_from_u64(seed),
-                seq: 0,
-                log: Vec::new(),
-            }),
-        }
-    }
-
-    /// Build a plan from `NASSIM_CRASH=seed:rate` (the same format as
-    /// the other fault-plan knobs).
-    pub fn from_env() -> Option<CrashPlan> {
-        let value = std::env::var("NASSIM_CRASH").ok()?;
-        let (seed, rate) = Self::parse_env_value(&value)?;
-        Some(CrashPlan::uniform(seed, rate))
-    }
-
-    /// The process-wide plan, armed once from `NASSIM_CRASH` on first
-    /// use. `None` (the production state) means every persistence
-    /// operation runs clean. A fresh plan per save would reseed the RNG
-    /// each time and make every operation draw identically, so the
-    /// global is the only env-driven entry point; tests that need
-    /// isolation pass explicit plans instead.
-    pub fn global() -> Option<&'static CrashPlan> {
-        static GLOBAL: OnceLock<Option<CrashPlan>> = OnceLock::new();
-        GLOBAL.get_or_init(CrashPlan::from_env).as_ref()
-    }
-
-    /// Parse a `seed:rate` spec.
-    pub fn parse_env_value(value: &str) -> Option<(u64, f64)> {
-        let (seed, rate) = value.split_once(':')?;
-        let seed: u64 = seed.trim().parse().ok()?;
-        let rate: f64 = rate.trim().parse().ok()?;
-        if !(0.0..=1.0).contains(&rate) {
-            return None;
-        }
-        Some((seed, rate))
-    }
-
-    /// Decide whether the persistence operation `op` targeting `path`
-    /// (writing `len` bytes) crashes, and where. Fixed draws per
-    /// operation: one per kill point plus one offset fraction, so the
-    /// RNG stream — and therefore the whole run — replays from the
-    /// seed regardless of which operations actually hit.
-    pub fn decide(&self, op: PersistOp, path: &Path, len: usize) -> Option<InjectedCrash> {
-        let mut state = self.state.lock();
-        let mut hit = None;
-        for point in CrashPoint::ALL {
-            let drawn = self.rate > 0.0 && state.rng.gen_bool(self.rate);
-            if drawn && hit.is_none() && point.applies_to(op) {
-                hit = Some(point);
-            }
-        }
-        let frac: f64 = state.rng.gen_range(0.0..1.0);
-        let point = hit?;
-        let offset = match point {
-            // A torn write is truly torn: strictly fewer bytes than the
-            // record, so recovery can never mistake it for a clean one.
-            CrashPoint::TruncateTemp | CrashPoint::TornAppend => {
-                Some(((frac * len as f64) as usize).min(len.saturating_sub(1)))
-            }
-            CrashPoint::SkipRename => None,
-        };
-        let seq = state.seq;
-        state.seq += 1;
-        let injected = InjectedCrash {
-            seq,
-            point,
+/// Decide whether the persistence operation `op` targeting `path`
+/// (writing `len` bytes) crashes, and where. Only kill points inside
+/// `op` can win; the placement draw becomes the byte offset of a torn
+/// write.
+pub fn decide_crash(
+    plan: &CrashPlan,
+    op: PersistOp,
+    path: &Path,
+    len: usize,
+) -> Option<InjectedCrash> {
+    plan.decide_placed(
+        |point| point.applies_to(op),
+        |point, frac| CrashSite {
             path: path.display().to_string(),
-            offset,
-        };
-        state.log.push(injected.clone());
-        Some(injected)
-    }
-
-    /// Drain the injection log.
-    pub fn take_injections(&self) -> Vec<InjectedCrash> {
-        std::mem::take(&mut self.state.lock().log)
-    }
-
-    /// Injections so far, without draining.
-    pub fn injection_count(&self) -> u64 {
-        self.state.lock().seq
-    }
+            offset: match point {
+                // A torn write is truly torn: strictly fewer bytes than
+                // the record, so recovery can never mistake it for a
+                // clean one.
+                CrashPoint::TruncateTemp | CrashPoint::TornAppend => {
+                    Some(((frac * len as f64) as usize).min(len.saturating_sub(1)))
+                }
+                CrashPoint::SkipRename => None,
+            },
+        },
+    )
 }
 
 /// Distinguishes concurrent writers' temp files; monotonic per process.
@@ -261,13 +201,9 @@ fn io_err(context: String, e: &std::io::Error) -> NassimError {
 /// crashes are swept best-effort.
 pub fn atomic_write(path: &Path, bytes: &[u8], plan: Option<&CrashPlan>) -> Result<(), NassimError> {
     let tmp = temp_path(path);
-    let injected = plan.and_then(|p| p.decide(PersistOp::StoreWrite, path, bytes.len()));
-    let write_len = match &injected {
-        Some(InjectedCrash {
-            point: CrashPoint::TruncateTemp,
-            offset: Some(off),
-            ..
-        }) => *off,
+    let injected = plan.and_then(|p| decide_crash(p, PersistOp::StoreWrite, path, bytes.len()));
+    let write_len = match injected.as_ref().map(|c| (c.kind, c.subject.offset)) {
+        Some((CrashPoint::TruncateTemp, Some(off))) => off,
         _ => bytes.len(),
     };
     {
@@ -283,7 +219,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8], plan: Option<&CrashPlan>) -> Resu
         // kill point left it, the committed file was never touched.
         return Err(NassimError::CrashInjected {
             path: path.display().to_string(),
-            point: crash.point.to_string(),
+            point: crash.kind.to_string(),
         });
     }
     std::fs::rename(&tmp, path).map_err(|e| {
@@ -352,13 +288,9 @@ pub fn append_record(
     bytes: &[u8],
     plan: Option<&CrashPlan>,
 ) -> Result<(), NassimError> {
-    let injected = plan.and_then(|p| p.decide(PersistOp::JournalAppend, path, bytes.len()));
-    let write_len = match &injected {
-        Some(InjectedCrash {
-            point: CrashPoint::TornAppend,
-            offset: Some(off),
-            ..
-        }) => *off,
+    let injected = plan.and_then(|p| decide_crash(p, PersistOp::JournalAppend, path, bytes.len()));
+    let write_len = match injected.as_ref().map(|c| (c.kind, c.subject.offset)) {
+        Some((CrashPoint::TornAppend, Some(off))) => off,
         _ => bytes.len(),
     };
     file.write_all(&bytes[..write_len])
@@ -368,7 +300,7 @@ pub fn append_record(
     if let Some(crash) = injected {
         return Err(NassimError::CrashInjected {
             path: path.display().to_string(),
-            point: crash.point.to_string(),
+            point: crash.kind.to_string(),
         });
     }
     Ok(())
@@ -379,76 +311,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_seed_same_injection_sequence() {
-        let run = || {
-            let plan = CrashPlan::uniform(42, 0.5);
-            let p = Path::new("/tmp/x/store.json");
-            let j = Path::new("/tmp/x/journal.log");
-            for i in 0..40 {
-                if i % 3 == 0 {
-                    plan.decide(PersistOp::JournalAppend, j, 100 + i);
-                } else {
-                    plan.decide(PersistOp::StoreWrite, p, 1000 + i);
-                }
-            }
-            plan.take_injections()
-        };
-        let a = run();
-        let b = run();
-        assert!(!a.is_empty());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_rate_never_injects() {
-        let plan = CrashPlan::uniform(7, 0.0);
-        for i in 0..100 {
-            assert!(plan
-                .decide(PersistOp::StoreWrite, Path::new("s.json"), i)
-                .is_none());
-        }
-        assert_eq!(plan.injection_count(), 0);
-    }
-
-    #[test]
-    fn log_is_ordered_and_drainable() {
-        let plan = CrashPlan::uniform(3, 0.8);
-        for _ in 0..50 {
-            plan.decide(PersistOp::StoreWrite, Path::new("s.json"), 512);
-        }
-        let log = plan.take_injections();
-        assert!(!log.is_empty());
-        for (i, inj) in log.iter().enumerate() {
-            assert_eq!(inj.seq, i as u64);
-        }
-        assert!(plan.take_injections().is_empty());
-        assert_eq!(plan.injection_count(), log.len() as u64);
-    }
-
-    #[test]
     fn all_points_fire_at_moderate_rates_and_respect_op_class() {
         let plan = CrashPlan::uniform(11, 0.4);
         let p = Path::new("s.json");
         let j = Path::new("j.log");
         for i in 0..300 {
             if i % 2 == 0 {
-                plan.decide(PersistOp::StoreWrite, p, 4096);
+                decide_crash(&plan, PersistOp::StoreWrite, p, 4096);
             } else {
-                plan.decide(PersistOp::JournalAppend, j, 256);
+                decide_crash(&plan, PersistOp::JournalAppend, j, 256);
             }
         }
         let log = plan.take_injections();
         for point in CrashPoint::ALL {
             assert!(
-                log.iter().any(|f| f.point == point),
+                log.iter().any(|f| f.kind == point),
                 "{point} never fired in 300 ops"
             );
         }
         // Kill points only ever fire inside the op they live in.
         for inj in &log {
-            match inj.point {
-                CrashPoint::TornAppend => assert_eq!(inj.path, "j.log"),
-                _ => assert_eq!(inj.path, "s.json"),
+            match inj.kind {
+                CrashPoint::TornAppend => assert_eq!(inj.subject.path, "j.log"),
+                _ => assert_eq!(inj.subject.path, "s.json"),
             }
         }
     }
@@ -457,21 +342,11 @@ mod tests {
     fn torn_offsets_are_strictly_short() {
         let plan = CrashPlan::uniform(5, 1.0);
         for len in [1usize, 2, 64, 4096] {
-            let inj = plan
-                .decide(PersistOp::JournalAppend, Path::new("j.log"), len)
+            let inj = decide_crash(&plan, PersistOp::JournalAppend, Path::new("j.log"), len)
                 .expect("rate 1.0 always injects");
-            let off = inj.offset.expect("torn appends carry an offset");
+            let off = inj.subject.offset.expect("torn appends carry an offset");
             assert!(off < len, "offset {off} not short of {len}");
         }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert_eq!(CrashPlan::parse_env_value("7:0.25"), Some((7, 0.25)));
-        assert_eq!(CrashPlan::parse_env_value(" 7 : 1.0 "), Some((7, 1.0)));
-        assert_eq!(CrashPlan::parse_env_value("7:1.5"), None);
-        assert_eq!(CrashPlan::parse_env_value("x:0.5"), None);
-        assert_eq!(CrashPlan::parse_env_value("nope"), None);
     }
 
     #[test]
@@ -488,9 +363,9 @@ mod tests {
             let next = format!("candidate-{i}");
             match atomic_write(&path, next.as_bytes(), Some(&plan)) {
                 Ok(()) => {
-                    // rate 1.0 on the store-write classes can still miss
-                    // when only TornAppend drew the hit slot — then the
-                    // write commits.
+                    // At rate 1.0 every class draws a hit, and
+                    // TruncateTemp is drawn first and applies to store
+                    // writes, so no write can commit.
                     unreachable!("rate-1.0 store writes always hit a store class");
                 }
                 Err(NassimError::CrashInjected { .. }) => {

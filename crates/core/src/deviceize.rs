@@ -152,10 +152,7 @@ mod tests {
         use nassim_device::DeviceClient;
         let cat = Catalog::base();
         let style = vendor("helix").unwrap();
-        let plan = Arc::new(FaultPlan::new(
-            4,
-            nassim_device::FaultRates { busy: 1.0, ..Default::default() },
-        ));
+        let plan = Arc::new(FaultPlan::only(4, nassim_device::FaultKind::Busy, 1.0));
         let mut server = spawn_device(
             &cat,
             &style,

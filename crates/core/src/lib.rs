@@ -39,7 +39,7 @@ pub use artifacts::{
     assimilate_incremental, corpus_key, ArtifactStore, StoreStats, MAX_STORE_BYTES,
 };
 pub use crash::{
-    append_record, atomic_write, clean_orphans, orphan_count, CrashPlan, CrashPoint, InjectedCrash,
-    PersistOp,
+    append_record, atomic_write, clean_orphans, decide_crash, global_crash_plan, orphan_count,
+    CrashPlan, CrashPoint, CrashSite, InjectedCrash, PersistOp,
 };
 pub use pipeline::{assimilate, assimilate_with, Assimilation};

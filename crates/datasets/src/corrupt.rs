@@ -6,20 +6,23 @@
 //! templating bugs drop or swap tags, CSS classes get renamed, encodings
 //! garble entity text, generators emit absurdly nested markup, and CMS
 //! migrations duplicate or reorder sections. A [`CorruptionPlan`]
-//! reproduces exactly those failures *deterministically*: a seeded RNG
-//! decides per page whether to corrupt and which class, the mutation
-//! content derives from `seed ^ fnv1a(url)` so it is independent of call
-//! order, and every injection is recorded in a drainable log so chaos
-//! tests can assert exactly what was injected.
+//! reproduces exactly those failures *deterministically*: the shared
+//! seeded plan ([`nassim_diag::chaos`]) decides per page whether to
+//! corrupt and which class, the mutation content derives from
+//! `seed ^ fnv1a(url)` so it is independent of call order, and every
+//! injection is recorded in a drainable log so chaos tests can assert
+//! exactly what was injected.
 //!
 //! Armed from the environment via `NASSIM_CORRUPT=seed:rate` (the
 //! ingestion twin of `NASSIM_FAULTS`).
 
-use crate::manualgen::{fnv1a, ManualPage};
+use crate::manualgen::ManualPage;
+use nassim_corpus::hash::fnv1a_str;
+use nassim_diag::chaos::{FaultClass, Injection, SeededPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::Mutex;
+use std::ops::Deref;
 
 /// Nesting depth of a [`CorruptKind::NestingBomb`]. Chosen to exceed the
 /// default `IngestBudget` node ceiling (100k) so a bombed page is
@@ -47,7 +50,7 @@ pub enum CorruptKind {
 }
 
 impl CorruptKind {
-    /// All classes, in the order [`CorruptionPlan::decide`] draws them.
+    /// All classes, in the order a [`CorruptionPlan`] draws them.
     pub const ALL: [CorruptKind; 6] = [
         CorruptKind::Truncate,
         CorruptKind::TagChurn,
@@ -71,107 +74,30 @@ impl fmt::Display for CorruptKind {
     }
 }
 
-/// Per-class corruption probabilities (each in `[0, 1]`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CorruptRates {
-    pub truncate: f64,
-    pub tag_churn: f64,
-    pub attr_scramble: f64,
-    pub entity_garbage: f64,
-    pub nesting_bomb: f64,
-    pub section_shuffle: f64,
+impl FaultClass for CorruptKind {
+    const ALL: &'static [CorruptKind] = &CorruptKind::ALL;
 }
 
-impl CorruptRates {
-    /// The same rate for every class.
-    pub fn uniform(rate: f64) -> CorruptRates {
-        CorruptRates {
-            truncate: rate,
-            tag_churn: rate,
-            attr_scramble: rate,
-            entity_garbage: rate,
-            nesting_bomb: rate,
-            section_shuffle: rate,
-        }
-    }
+/// One recorded injection: which corruption hit which page URL, in order.
+pub type InjectedCorruption = Injection<CorruptKind, String>;
 
-    /// Zero everywhere except `kind` at `rate` — one matrix cell of the
-    /// chaos harness.
-    pub fn only(kind: CorruptKind, rate: f64) -> CorruptRates {
-        let mut rates = CorruptRates::default();
-        match kind {
-            CorruptKind::Truncate => rates.truncate = rate,
-            CorruptKind::TagChurn => rates.tag_churn = rate,
-            CorruptKind::AttrScramble => rates.attr_scramble = rate,
-            CorruptKind::EntityGarbage => rates.entity_garbage = rate,
-            CorruptKind::NestingBomb => rates.nesting_bomb = rate,
-            CorruptKind::SectionShuffle => rates.section_shuffle = rate,
-        }
-        rates
-    }
-
-    fn rate(&self, kind: CorruptKind) -> f64 {
-        match kind {
-            CorruptKind::Truncate => self.truncate,
-            CorruptKind::TagChurn => self.tag_churn,
-            CorruptKind::AttrScramble => self.attr_scramble,
-            CorruptKind::EntityGarbage => self.entity_garbage,
-            CorruptKind::NestingBomb => self.nesting_bomb,
-            CorruptKind::SectionShuffle => self.section_shuffle,
-        }
-    }
-}
-
-/// One recorded injection: which corruption hit which page, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedCorruption {
-    /// Monotonic injection sequence number (0-based).
-    pub seq: u64,
-    pub kind: CorruptKind,
-    /// URL of the corrupted page.
-    pub url: String,
-}
-
-struct PlanState {
-    rng: StdRng,
-    seq: u64,
-    log: Vec<InjectedCorruption>,
-}
-
-/// A seeded, shareable manual-corruption plan (the ingestion twin of
-/// `nassim-device`'s `FaultPlan`).
+/// A seeded, shareable manual-corruption plan: the shared
+/// [`SeededPlan`] over page URLs, plus the page mutations.
 ///
 /// Which pages get hit depends on the shared decision stream (call
 /// order); *what* a hit page is mutated into depends only on the seed
 /// and the page URL, so corrupted bytes replay exactly per seed.
-pub struct CorruptionPlan {
-    seed: u64,
-    rates: CorruptRates,
-    state: Mutex<PlanState>,
-}
+pub struct CorruptionPlan(SeededPlan<CorruptKind, String>);
 
 impl CorruptionPlan {
-    /// Plan with per-class `rates`, seeded so runs replay exactly.
-    pub fn new(seed: u64, rates: CorruptRates) -> CorruptionPlan {
-        CorruptionPlan {
-            seed,
-            rates,
-            state: Mutex::new(PlanState {
-                rng: StdRng::seed_from_u64(seed),
-                seq: 0,
-                log: Vec::new(),
-            }),
-        }
-    }
-
     /// Plan injecting every class at the same `rate`.
     pub fn uniform(seed: u64, rate: f64) -> CorruptionPlan {
-        CorruptionPlan::new(seed, CorruptRates::uniform(rate))
+        CorruptionPlan(SeededPlan::uniform(seed, rate))
     }
 
     /// Plan injecting only `kind`, at `rate`.
     pub fn only(seed: u64, kind: CorruptKind, rate: f64) -> CorruptionPlan {
-        CorruptionPlan::new(seed, CorruptRates::only(kind, rate))
+        CorruptionPlan(SeededPlan::only(seed, kind, rate))
     }
 
     /// Build a plan from the `NASSIM_CORRUPT=seed:rate` environment
@@ -179,47 +105,7 @@ impl CorruptionPlan {
     /// under seed 7, all classes). Returns `None` when unset or
     /// unparseable.
     pub fn from_env() -> Option<CorruptionPlan> {
-        let value = std::env::var("NASSIM_CORRUPT").ok()?;
-        let (seed, rate) = Self::parse_env_value(&value)?;
-        Some(CorruptionPlan::uniform(seed, rate))
-    }
-
-    /// Parse a `seed:rate` spec (the `NASSIM_CORRUPT` format).
-    pub fn parse_env_value(value: &str) -> Option<(u64, f64)> {
-        let (seed, rate) = value.split_once(':')?;
-        let seed: u64 = seed.trim().parse().ok()?;
-        let rate: f64 = rate.trim().parse().ok()?;
-        if !(0.0..=1.0).contains(&rate) {
-            return None;
-        }
-        Some((seed, rate))
-    }
-
-    /// Decide whether the page at `url` gets corrupted. One draw per
-    /// class, in [`CorruptKind::ALL`] order, first hit wins; every class
-    /// is drawn regardless of outcome so the stream consumes a fixed
-    /// number of draws per page (replayability does not depend on which
-    /// class won).
-    pub fn decide(&self, url: &str) -> Option<CorruptKind> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut hit = None;
-        for kind in CorruptKind::ALL {
-            let rate = self.rates.rate(kind);
-            let drawn = rate > 0.0 && state.rng.gen_bool(rate);
-            if drawn && hit.is_none() {
-                hit = Some(kind);
-            }
-        }
-        if let Some(kind) = hit {
-            let seq = state.seq;
-            state.seq += 1;
-            state.log.push(InjectedCorruption {
-                seq,
-                kind,
-                url: url.to_string(),
-            });
-        }
-        hit
+        SeededPlan::from_env("NASSIM_CORRUPT").map(CorruptionPlan)
     }
 
     /// Corrupt one page, if the plan decides to. Mutation content is
@@ -228,7 +114,7 @@ impl CorruptionPlan {
     /// pages are presented in.
     pub fn corrupt_page(&self, url: &str, html: &str) -> Option<String> {
         let kind = self.decide(url)?;
-        Some(mutate(kind, self.seed ^ fnv1a(url), html))
+        Some(mutate(kind, self.seed() ^ fnv1a_str(url), html))
     }
 
     /// Corrupt a generated manual in place; returns how many pages were
@@ -243,17 +129,13 @@ impl CorruptionPlan {
         }
         hit
     }
+}
 
-    /// Drain the injection log (everything injected since the last
-    /// drain, in injection order).
-    pub fn take_injections(&self) -> Vec<InjectedCorruption> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        std::mem::take(&mut state.log)
-    }
+impl Deref for CorruptionPlan {
+    type Target = SeededPlan<CorruptKind, String>;
 
-    /// Injections so far without draining.
-    pub fn injection_count(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).seq
+    fn deref(&self) -> &SeededPlan<CorruptKind, String> {
+        &self.0
     }
 }
 
@@ -463,26 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_never_corrupts() {
-        let plan = CorruptionPlan::uniform(1, 0.0);
-        for i in 0..200 {
-            assert_eq!(plan.decide(&format!("manual://x/{i}")), None);
-        }
-        assert!(plan.take_injections().is_empty());
-    }
-
-    #[test]
-    fn same_seed_same_decision_sequence() {
-        let a = CorruptionPlan::uniform(42, 0.3);
-        let b = CorruptionPlan::uniform(42, 0.3);
-        let urls: Vec<String> = (0..100).map(|i| format!("manual://x/{i}")).collect();
-        let seq_a: Vec<_> = urls.iter().map(|u| a.decide(u)).collect();
-        let seq_b: Vec<_> = urls.iter().map(|u| b.decide(u)).collect();
-        assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(Option::is_some));
-    }
-
-    #[test]
     fn corrupted_bytes_are_order_independent() {
         // Same seed, pages presented in different orders: whenever the
         // same page is hit by the same class, the bytes must agree.
@@ -492,60 +354,6 @@ mod tests {
         let _ = b.corrupt_page("manual://x/other", "<p>other</p>");
         let out_b = b.corrupt_page("manual://x/p", PAGE);
         assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn log_records_every_injection_in_order() {
-        let plan = CorruptionPlan::uniform(7, 0.5);
-        let mut expected = 0u64;
-        for i in 0..50 {
-            if plan.decide(&format!("manual://x/{i}")).is_some() {
-                expected += 1;
-            }
-        }
-        let log = plan.take_injections();
-        assert_eq!(log.len() as u64, expected);
-        for (i, c) in log.iter().enumerate() {
-            assert_eq!(c.seq, i as u64);
-            assert!(c.url.starts_with("manual://x/"));
-        }
-        assert!(plan.take_injections().is_empty());
-        assert_eq!(plan.injection_count(), expected);
-    }
-
-    #[test]
-    fn all_classes_appear_at_moderate_rates() {
-        let plan = CorruptionPlan::uniform(3, 0.25);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..400 {
-            if let Some(k) = plan.decide(&format!("manual://x/{i}")) {
-                seen.insert(k);
-            }
-        }
-        for kind in CorruptKind::ALL {
-            assert!(seen.contains(&kind), "class {kind} never injected");
-        }
-    }
-
-    #[test]
-    fn only_restricts_to_one_class() {
-        let plan = CorruptionPlan::only(5, CorruptKind::Truncate, 1.0);
-        for i in 0..20 {
-            assert_eq!(
-                plan.decide(&format!("manual://x/{i}")),
-                Some(CorruptKind::Truncate)
-            );
-        }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert_eq!(CorruptionPlan::parse_env_value("7:0.2"), Some((7, 0.2)));
-        assert_eq!(CorruptionPlan::parse_env_value(" 11 : 1.0 "), Some((11, 1.0)));
-        assert_eq!(CorruptionPlan::parse_env_value("7"), None);
-        assert_eq!(CorruptionPlan::parse_env_value("x:0.2"), None);
-        assert_eq!(CorruptionPlan::parse_env_value("7:1.5"), None);
-        assert_eq!(CorruptionPlan::parse_env_value("7:-0.1"), None);
     }
 
     #[test]

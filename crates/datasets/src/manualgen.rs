@@ -21,6 +21,7 @@
 use crate::catalog::{Catalog, CatalogCommand};
 use crate::style::{HierarchyStyle, VendorStyle};
 use nassim_cgm::{generate::sample_instance, CliGraph};
+use nassim_corpus::hash::fnv1a_str;
 use nassim_syntax::parse_template;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,16 +115,6 @@ impl Manual {
     }
 }
 
-/// FNV-1a, used to derive per-page RNG streams from the master seed.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Generate the manual of `style`'s vendor over `catalog`.
 /// Commands per worker chunk when rendering pages: each render is
 /// cheap enough that per-item fan-out barely broke even (0.92× in
@@ -170,7 +161,7 @@ pub fn generate(style: &VendorStyle, catalog: &Catalog, opts: &GenOptions) -> Ma
     let rendered: Vec<(ManualPage, Option<InjectedDefect>)> =
         nassim_exec::par_map_indexed_chunked(&catalog.commands, RENDER_MIN_CHUNK, |i, cmd| {
             let url = format!("manual://{}/{}/{}", style.name, cmd.group, cmd.key);
-            let mut rng = StdRng::seed_from_u64(opts.seed ^ fnv1a(&url));
+            let mut rng = StdRng::seed_from_u64(opts.seed ^ fnv1a_str(&url));
 
             // CLI forms, with optional corruption of the first form.
             let mut cli_forms = style.cli_forms(cmd);

@@ -5,19 +5,18 @@
 //! real world, and real device channels fail in mundane ways: Telnet
 //! sessions drop, responses stall past the driver's deadline, frames
 //! arrive garbled, and devices answer "busy" under load. A [`FaultPlan`]
-//! reproduces exactly those failures *deterministically*: a seeded RNG
-//! decides, per request, whether to inject a fault and which class, so a
-//! chaos run is replayable bit-for-bit from its seed, and every injection
-//! is recorded in a drainable log so tests can assert exactly what was
-//! injected.
+//! reproduces exactly those failures *deterministically*: the shared
+//! seeded plan ([`nassim_diag::chaos`]) decides, per request, whether to
+//! inject a fault and which class, so a chaos run is replayable
+//! bit-for-bit from its seed, and every injection is recorded in a
+//! drainable log so tests can assert exactly what was injected.
 //!
 //! The server consults the plan in `serve_connection` before executing a
 //! request (see [`crate::server`]); the client side masks the injected
 //! faults with [`crate::resilient::ResilientClient`].
 
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nassim_diag::chaos::{FaultClass, Injection, SeededPlan};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -40,7 +39,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All classes, in the order [`FaultPlan::decide`] draws them.
+    /// All classes, in the order a [`FaultPlan`] draws them.
     pub const ALL: [FaultKind; 4] = [
         FaultKind::Reset,
         FaultKind::Delay,
@@ -60,73 +59,39 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// Per-class injection probabilities (each in `[0, 1]`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultRates {
-    pub reset: f64,
-    pub delay: f64,
-    pub garble: f64,
-    pub busy: f64,
+impl FaultClass for FaultKind {
+    const ALL: &'static [FaultKind] = &FaultKind::ALL;
 }
 
-impl FaultRates {
-    /// The same rate for every class.
-    pub fn uniform(rate: f64) -> FaultRates {
-        FaultRates {
-            reset: rate,
-            delay: rate,
-            garble: rate,
-            busy: rate,
-        }
-    }
-}
+/// One recorded injection: which fault hit which request line, in order.
+pub type InjectedFault = Injection<FaultKind, String>;
 
-/// One recorded injection: which fault hit which request, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedFault {
-    /// Monotonic injection sequence number (0-based).
-    pub seq: u64,
-    pub kind: FaultKind,
-    /// The request line the fault was injected on.
-    pub request: String,
-}
-
-struct PlanState {
-    rng: StdRng,
-    seq: u64,
-    log: Vec<InjectedFault>,
-}
-
-/// A seeded, shareable fault-injection plan.
-///
-/// Thread-safe: connection threads serialize their draws through an
-/// internal lock, so a single-connection client sees a fully
-/// deterministic fault sequence per seed.
+/// A seeded, shareable fault-injection plan: the shared
+/// [`SeededPlan`] over the request lines it strikes, plus how long a
+/// [`FaultKind::Delay`] stalls.
 pub struct FaultPlan {
-    rates: FaultRates,
+    plan: SeededPlan<FaultKind, String>,
     delay: Duration,
-    state: Mutex<PlanState>,
 }
 
 impl FaultPlan {
-    /// Plan with per-class `rates`, seeded so runs replay exactly.
-    pub fn new(seed: u64, rates: FaultRates) -> FaultPlan {
+    fn new(plan: SeededPlan<FaultKind, String>) -> FaultPlan {
         FaultPlan {
-            rates,
+            plan,
             // Past the default 10 s client deadline; chaos tests override
             // with something tiny via `with_delay`.
             delay: Duration::from_secs(12),
-            state: Mutex::new(PlanState {
-                rng: StdRng::seed_from_u64(seed),
-                seq: 0,
-                log: Vec::new(),
-            }),
         }
     }
 
     /// Plan injecting every class at the same `rate`.
     pub fn uniform(seed: u64, rate: f64) -> FaultPlan {
-        FaultPlan::new(seed, FaultRates::uniform(rate))
+        FaultPlan::new(SeededPlan::uniform(seed, rate))
+    }
+
+    /// Plan injecting only `kind`, at `rate`.
+    pub fn only(seed: u64, kind: FaultKind, rate: f64) -> FaultPlan {
+        FaultPlan::new(SeededPlan::only(seed, kind, rate))
     }
 
     /// Override how long a [`FaultKind::Delay`] stalls the response.
@@ -141,54 +106,7 @@ impl FaultPlan {
     /// variable (e.g. `NASSIM_FAULTS=7:0.2` injects every class at 20 %
     /// under seed 7). Returns `None` when unset or unparseable.
     pub fn from_env() -> Option<FaultPlan> {
-        let value = std::env::var("NASSIM_FAULTS").ok()?;
-        let (seed, rate) = Self::parse_env_value(&value)?;
-        Some(FaultPlan::uniform(seed, rate))
-    }
-
-    /// Parse a `seed:rate` spec (the `NASSIM_FAULTS` format).
-    pub fn parse_env_value(value: &str) -> Option<(u64, f64)> {
-        let (seed, rate) = value.split_once(':')?;
-        let seed: u64 = seed.trim().parse().ok()?;
-        let rate: f64 = rate.trim().parse().ok()?;
-        if !(0.0..=1.0).contains(&rate) {
-            return None;
-        }
-        Some((seed, rate))
-    }
-
-    /// Decide whether `request` gets a fault. One draw per class, in
-    /// [`FaultKind::ALL`] order, first hit wins — so each class reaches
-    /// its configured rate independently of the others preceding it in
-    /// at most one draw.
-    pub fn decide(&self, request: &str) -> Option<FaultKind> {
-        let mut state = self.state.lock();
-        let mut hit = None;
-        for kind in FaultKind::ALL {
-            let rate = match kind {
-                FaultKind::Reset => self.rates.reset,
-                FaultKind::Delay => self.rates.delay,
-                FaultKind::Garble => self.rates.garble,
-                FaultKind::Busy => self.rates.busy,
-            };
-            // Draw for every class even after a hit, so the RNG stream
-            // consumes a fixed number of draws per request regardless of
-            // outcome (replayability does not depend on which class won).
-            let drawn = rate > 0.0 && state.rng.gen_bool(rate);
-            if drawn && hit.is_none() {
-                hit = Some(kind);
-            }
-        }
-        if let Some(kind) = hit {
-            let seq = state.seq;
-            state.seq += 1;
-            state.log.push(InjectedFault {
-                seq,
-                kind,
-                request: request.to_string(),
-            });
-        }
-        hit
+        SeededPlan::from_env("NASSIM_FAULTS").map(FaultPlan::new)
     }
 
     /// Sleep out a [`FaultKind::Delay`], in short slices so a server
@@ -205,89 +123,12 @@ impl FaultPlan {
             remaining -= step;
         }
     }
-
-    /// Drain the injection log (everything injected since the last
-    /// drain, in injection order).
-    pub fn take_injections(&self) -> Vec<InjectedFault> {
-        std::mem::take(&mut self.state.lock().log)
-    }
-
-    /// Injections so far without draining.
-    pub fn injection_count(&self) -> u64 {
-        self.state.lock().seq
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+impl Deref for FaultPlan {
+    type Target = SeededPlan<FaultKind, String>;
 
-    #[test]
-    fn zero_rates_never_inject() {
-        let plan = FaultPlan::new(1, FaultRates::default());
-        for i in 0..200 {
-            assert_eq!(plan.decide(&format!("cmd {i}")), None);
-        }
-        assert!(plan.take_injections().is_empty());
-    }
-
-    #[test]
-    fn full_rate_always_injects_first_class() {
-        let plan = FaultPlan::new(1, FaultRates { reset: 1.0, ..Default::default() });
-        assert_eq!(plan.decide("x"), Some(FaultKind::Reset));
-    }
-
-    #[test]
-    fn same_seed_same_fault_sequence() {
-        let a = FaultPlan::uniform(42, 0.3);
-        let b = FaultPlan::uniform(42, 0.3);
-        let seq_a: Vec<_> = (0..100).map(|i| a.decide(&format!("c{i}"))).collect();
-        let seq_b: Vec<_> = (0..100).map(|i| b.decide(&format!("c{i}"))).collect();
-        assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(Option::is_some), "0.3 over 100 draws must hit");
-    }
-
-    #[test]
-    fn log_records_every_injection_in_order() {
-        let plan = FaultPlan::uniform(7, 0.5);
-        let mut expected = 0u64;
-        for i in 0..50 {
-            if plan.decide(&format!("cmd {i}")).is_some() {
-                expected += 1;
-            }
-        }
-        let log = plan.take_injections();
-        assert_eq!(log.len() as u64, expected);
-        for (i, f) in log.iter().enumerate() {
-            assert_eq!(f.seq, i as u64);
-            assert!(f.request.starts_with("cmd "));
-        }
-        // Drained: second take is empty, but the seq counter persists.
-        assert!(plan.take_injections().is_empty());
-        assert_eq!(plan.injection_count(), expected);
-    }
-
-    #[test]
-    fn all_classes_appear_at_moderate_rates() {
-        let plan = FaultPlan::uniform(3, 0.25);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..400 {
-            if let Some(k) = plan.decide(&format!("c{i}")) {
-                seen.insert(k);
-            }
-        }
-        for kind in FaultKind::ALL {
-            assert!(seen.contains(&kind), "class {kind} never injected");
-        }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert_eq!(FaultPlan::parse_env_value("7:0.2"), Some((7, 0.2)));
-        assert_eq!(FaultPlan::parse_env_value(" 11 : 1.0 "), Some((11, 1.0)));
-        assert_eq!(FaultPlan::parse_env_value("7"), None);
-        assert_eq!(FaultPlan::parse_env_value("x:0.2"), None);
-        assert_eq!(FaultPlan::parse_env_value("7:1.5"), None);
-        assert_eq!(FaultPlan::parse_env_value("7:-0.1"), None);
+    fn deref(&self) -> &SeededPlan<FaultKind, String> {
+        &self.plan
     }
 }

@@ -55,7 +55,7 @@ pub mod server;
 pub mod session;
 
 pub use client::DeviceClient;
-pub use faults::{FaultKind, FaultPlan, FaultRates, InjectedFault};
+pub use faults::{FaultKind, FaultPlan, InjectedFault};
 pub use framing::{read_frame, Frame, FrameAccumulator, MAX_FRAME_BYTES};
 pub use model::DeviceModel;
 pub use protocol::Response;

@@ -13,6 +13,11 @@
 //! - [`DiagSink`] / [`DiagReport`]: stages append diagnostics to a sink;
 //!   the finished report renders rustc-style human output and
 //!   round-trips through JSON for machine consumers.
+//!
+//! [`chaos`] holds the seeded fault-plan core every fault family injects
+//! through, so injected failures replay from their seed.
+
+pub mod chaos;
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -8,15 +8,14 @@
 //! vanishing mid-frame ([`ServeFaultKind::Disconnect`]), sending garbage
 //! ([`ServeFaultKind::Malformed`]), carrying an already-expired deadline
 //! ([`ServeFaultKind::Deadline`]) or surrounding it with a burst volley
-//! ([`ServeFaultKind::Burst`]). Every injection lands in a drainable
-//! log, so a run's disturbances reconcile exactly against the daemon's
-//! own event log; the same seed replays the same disturbance sequence.
+//! ([`ServeFaultKind::Burst`]). The plan is the shared seeded plan of
+//! [`nassim_diag::chaos`]: every injection lands in a drainable log, so a
+//! run's disturbances reconcile exactly against the daemon's own event
+//! log, and the same seed replays the same disturbance sequence.
 
 use crate::client::ServeClient;
 use crate::protocol::{ErrKind, Reply, Request};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nassim_diag::chaos::{FaultClass, Injection, SeededPlan};
 use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -44,7 +43,7 @@ pub enum ServeFaultKind {
 }
 
 impl ServeFaultKind {
-    /// All classes, in the order [`ServeFaultPlan::decide`] draws them.
+    /// All classes, in the order a [`ServeFaultPlan`] draws them.
     pub const ALL: [ServeFaultKind; 5] = [
         ServeFaultKind::SlowLoris,
         ServeFaultKind::Disconnect,
@@ -66,97 +65,17 @@ impl std::fmt::Display for ServeFaultKind {
     }
 }
 
-/// One recorded injection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedServeFault {
-    /// Monotonic injection sequence number (0-based).
-    pub seq: u64,
-    pub kind: ServeFaultKind,
-    /// Index of the scripted request the fault was injected on.
-    pub request: usize,
+impl FaultClass for ServeFaultKind {
+    const ALL: &'static [ServeFaultKind] = &ServeFaultKind::ALL;
 }
 
-struct PlanState {
-    rng: StdRng,
-    seq: u64,
-    log: Vec<InjectedServeFault>,
-}
+/// A seeded, shareable serving fault plan over the indices of the
+/// scripted requests it disturbs; the same seed replays the same
+/// disturbance sequence.
+pub type ServeFaultPlan = SeededPlan<ServeFaultKind, usize>;
 
-/// A seeded, shareable serving fault plan (same discipline as the
-/// device [`nassim_device::faults::FaultPlan`]: one draw per class per
-/// request in [`ServeFaultKind::ALL`] order, first hit wins, so each
-/// run replays bit-for-bit from its seed).
-pub struct ServeFaultPlan {
-    rate: f64,
-    state: Mutex<PlanState>,
-}
-
-impl ServeFaultPlan {
-    /// Every class at the same `rate`, seeded.
-    pub fn uniform(seed: u64, rate: f64) -> ServeFaultPlan {
-        ServeFaultPlan {
-            rate,
-            state: Mutex::new(PlanState {
-                rng: StdRng::seed_from_u64(seed),
-                seq: 0,
-                log: Vec::new(),
-            }),
-        }
-    }
-
-    /// Build a plan from `NASSIM_SERVE_FAULTS=seed:rate` (the same
-    /// format as the device layer's `NASSIM_FAULTS`).
-    pub fn from_env() -> Option<ServeFaultPlan> {
-        let value = std::env::var("NASSIM_SERVE_FAULTS").ok()?;
-        let (seed, rate) = Self::parse_env_value(&value)?;
-        Some(ServeFaultPlan::uniform(seed, rate))
-    }
-
-    /// Parse a `seed:rate` spec.
-    pub fn parse_env_value(value: &str) -> Option<(u64, f64)> {
-        let (seed, rate) = value.split_once(':')?;
-        let seed: u64 = seed.trim().parse().ok()?;
-        let rate: f64 = rate.trim().parse().ok()?;
-        if !(0.0..=1.0).contains(&rate) {
-            return None;
-        }
-        Some((seed, rate))
-    }
-
-    /// Decide whether scripted request `index` is disturbed, and how.
-    /// Fixed draws per request (one per class, even after a hit) so the
-    /// RNG stream — and therefore the whole run — replays from the seed.
-    pub fn decide(&self, index: usize) -> Option<ServeFaultKind> {
-        let mut state = self.state.lock();
-        let mut hit = None;
-        for kind in ServeFaultKind::ALL {
-            let drawn = self.rate > 0.0 && state.rng.gen_bool(self.rate);
-            if drawn && hit.is_none() {
-                hit = Some(kind);
-            }
-        }
-        if let Some(kind) = hit {
-            let seq = state.seq;
-            state.seq += 1;
-            state.log.push(InjectedServeFault {
-                seq,
-                kind,
-                request: index,
-            });
-        }
-        hit
-    }
-
-    /// Drain the injection log.
-    pub fn take_injections(&self) -> Vec<InjectedServeFault> {
-        std::mem::take(&mut self.state.lock().log)
-    }
-
-    /// Injections so far, without draining.
-    pub fn injection_count(&self) -> u64 {
-        self.state.lock().seq
-    }
-}
+/// One recorded injection: which disturbance hit which scripted request.
+pub type InjectedServeFault = Injection<ServeFaultKind, usize>;
 
 /// The outcome of one scripted request under chaos.
 #[derive(Debug, Clone)]
@@ -224,7 +143,7 @@ pub fn run_chaos(
 ) -> io::Result<ChaosReport> {
     let mut report = ChaosReport::default();
     for (index, request) in script.iter().enumerate() {
-        let fault = plan.and_then(|p| p.decide(index));
+        let fault = plan.and_then(|p| p.decide(&index));
         let outcome = match fault {
             None => {
                 let mut client = ServeClient::connect(addr)?;
@@ -336,68 +255,4 @@ pub fn run_chaos(
         report.outcomes.push(outcome);
     }
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn same_seed_same_injection_sequence() {
-        let a = ServeFaultPlan::uniform(9, 0.3);
-        let b = ServeFaultPlan::uniform(9, 0.3);
-        let seq_a: Vec<_> = (0..100).map(|i| a.decide(i)).collect();
-        let seq_b: Vec<_> = (0..100).map(|i| b.decide(i)).collect();
-        assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(Option::is_some));
-    }
-
-    #[test]
-    fn zero_rate_never_injects() {
-        let plan = ServeFaultPlan::uniform(1, 0.0);
-        for i in 0..100 {
-            assert_eq!(plan.decide(i), None);
-        }
-        assert!(plan.take_injections().is_empty());
-    }
-
-    #[test]
-    fn log_is_ordered_and_drainable() {
-        let plan = ServeFaultPlan::uniform(5, 0.5);
-        let mut hits = 0u64;
-        for i in 0..60 {
-            if plan.decide(i).is_some() {
-                hits += 1;
-            }
-        }
-        let log = plan.take_injections();
-        assert_eq!(log.len() as u64, hits);
-        for (i, f) in log.iter().enumerate() {
-            assert_eq!(f.seq, i as u64);
-        }
-        assert!(plan.take_injections().is_empty());
-        assert_eq!(plan.injection_count(), hits);
-    }
-
-    #[test]
-    fn all_classes_fire_at_moderate_rates() {
-        let plan = ServeFaultPlan::uniform(3, 0.25);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..500 {
-            if let Some(k) = plan.decide(i) {
-                seen.insert(k);
-            }
-        }
-        for kind in ServeFaultKind::ALL {
-            assert!(seen.contains(&kind), "class {kind} never injected");
-        }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert_eq!(ServeFaultPlan::parse_env_value("7:0.2"), Some((7, 0.2)));
-        assert_eq!(ServeFaultPlan::parse_env_value("7:1.5"), None);
-        assert_eq!(ServeFaultPlan::parse_env_value("x:0.2"), None);
-        assert_eq!(ServeFaultPlan::parse_env_value("7"), None);
-    }
 }

@@ -38,7 +38,7 @@
 
 use crate::protocol::valid_job_id;
 use nassim::corpus::fnv1a_str;
-use nassim::{append_record, CrashPlan, MAX_STORE_BYTES};
+use nassim::{append_record, global_crash_plan, CrashPlan, MAX_STORE_BYTES};
 use nassim_diag::{Diagnostic, NassimError, Stage};
 use parking_lot::Mutex;
 use serde::Value;
@@ -402,7 +402,7 @@ impl JobJournal {
     /// the index. Under an injected crash the record is torn on disk,
     /// **not** applied, and the journal is poisoned (see the field doc).
     pub fn append(&self, rec: &JournalRecord) -> Result<(), NassimError> {
-        self.append_with(rec, CrashPlan::global())
+        self.append_with(rec, global_crash_plan())
     }
 
     /// [`JobJournal::append`] with an explicit crash plan (tests inject

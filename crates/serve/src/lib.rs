@@ -33,8 +33,7 @@
 //!   byte-identically to a fault-free run).
 //!
 //! Environment knobs: `NASSIM_SERVE_QUEUE=workers:queue` sizes
-//! admission, `NASSIM_SERVE_FAULTS=seed:rate` arms the chaos client,
-//! `NASSIM_SERVE_JOURNAL=<dir>` enables the job journal (the
+//! admission, `NASSIM_SERVE_JOURNAL=<dir>` enables the job journal (the
 //! `nassim-serve` binary), `NASSIM_SERVE_VENDORS=a,b` picks the served
 //! catalog, and `NASSIM_CRASH=seed:rate` (read by the core crate)
 //! injects seeded kill points into every durable write.

@@ -26,6 +26,7 @@ use nassim::datasets::{catalog::Catalog, manualgen, style};
 use nassim::parser::{cirrus::ParserCirrus, run_parser};
 use nassim::pipeline::assimilate;
 use nassim::{assimilate_incremental, ArtifactStore};
+use nassim_diag::chaos::parse_seed_rate;
 use nassim_html::IngestBudget;
 use std::path::PathBuf;
 
@@ -37,7 +38,7 @@ fn corruption_from_args() -> Result<Option<CorruptionPlan>, String> {
         let spec = args
             .get(pos + 1)
             .ok_or("--corrupt requires a seed:rate argument (e.g. --corrupt 17:0.2)")?;
-        let (seed, rate) = CorruptionPlan::parse_env_value(spec)
+        let (seed, rate) = parse_seed_rate(spec)
             .ok_or_else(|| format!("bad --corrupt spec `{spec}` (expected seed:rate)"))?;
         return Ok(Some(CorruptionPlan::uniform(seed, rate)));
     }

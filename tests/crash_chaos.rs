@@ -95,7 +95,7 @@ fn seeded_save_crashes_never_lose_the_committed_store() {
                 }
             }
         }
-        classes.extend(plan.take_injections().iter().map(|i| i.point));
+        classes.extend(plan.take_injections().iter().map(|i| i.kind));
 
         // The new commit is complete, valid, and the litter of every
         // crashed attempt has been swept.
@@ -178,7 +178,7 @@ fn seeded_torn_appends_replay_the_prefix_and_converge() {
         }
         let injected = plan.take_injections();
         assert!(
-            injected.iter().all(|i| i.point == CrashPoint::TornAppend),
+            injected.iter().all(|i| i.kind == CrashPoint::TornAppend),
             "journal ops must only tear appends: {injected:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);

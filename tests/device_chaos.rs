@@ -133,7 +133,7 @@ fn chaos_matrix_masks_every_transient_fault() {
         );
         for (i, f) in injected.iter().enumerate() {
             assert_eq!(f.seq, i as u64, "log must be in injection order");
-            assert!(!f.request.is_empty());
+            assert!(!f.subject.is_empty());
         }
         classes_seen.extend(injected.iter().map(|f| f.kind));
 

@@ -103,7 +103,7 @@ fn chaos_matrix_accounts_for_every_injection() {
             );
             classes_injected.extend(injections.iter().map(|c| c.kind));
             let corrupted: HashSet<String> =
-                injections.iter().map(|c| c.url.clone()).collect();
+                injections.iter().map(|c| c.subject.clone()).collect();
 
             // Never panics, never aborts: Ok even with bombs inside.
             let a = catch_unwind(AssertUnwindSafe(|| run_assimilation(&pages)))

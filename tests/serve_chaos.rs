@@ -143,7 +143,7 @@ fn chaos_matrix_byte_parity_and_accounting() {
         // decision for every scripted request.
         let replay = ServeFaultPlan::uniform(seed, RATE);
         for o in &report.outcomes {
-            assert_eq!(replay.decide(o.index), o.fault, "seed {seed} diverged");
+            assert_eq!(replay.decide(&o.index), o.fault, "seed {seed} diverged");
         }
 
         // Parity: every normally-answered request is byte-identical to
