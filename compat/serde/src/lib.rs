@@ -58,11 +58,26 @@ impl std::error::Error for DeError {}
 /// Convert a value into the [`Value`] tree.
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// A borrowed view of `self` when it already *is* a [`Value`] tree,
+    /// so a serializer can render it in place instead of cloning it
+    /// through [`Serialize::to_value`]. `None` (the default) for every
+    /// other type.
+    fn as_value(&self) -> Option<&Value> {
+        None
+    }
 }
 
 /// Rebuild a value from a [`Value`] tree.
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Rebuild from an owned tree. The default borrows it through
+    /// [`Deserialize::from_value`]; [`Value`] itself overrides this to
+    /// move the tree instead of cloning it.
+    fn from_owned(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 
     /// What to produce when a struct field is absent from the input
     /// object. `None` means "absence is an error" (serde's default);
@@ -123,11 +138,19 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Option<&Value> {
+        Some(self)
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+
+    fn from_owned(v: Value) -> Result<Self, DeError> {
+        Ok(v)
     }
 }
 
@@ -170,6 +193,10 @@ impl Serialize for str {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Option<&Value> {
+        (**self).as_value()
     }
 }
 
@@ -302,6 +329,23 @@ mod tests {
             Vec::<u8>::from_value(&vec![1u8, 2, 3].to_value()).unwrap(),
             vec![1, 2, 3]
         );
+    }
+
+    #[test]
+    fn value_trees_are_borrowed_and_moved_not_cloned() {
+        let tree = Value::Arr(vec![Value::Str("x".to_string())]);
+        assert!(std::ptr::eq(tree.as_value().unwrap(), &tree));
+        assert!(std::ptr::eq((&&tree).as_value().unwrap(), &tree));
+        assert!(42u32.as_value().is_none());
+        let Value::Arr(items) = &tree else {
+            unreachable!()
+        };
+        let heap = items.as_ptr();
+        let Value::Arr(moved) = Value::from_owned(tree).unwrap() else {
+            unreachable!()
+        };
+        assert_eq!(moved.as_ptr(), heap);
+        assert_eq!(u32::from_owned(Value::Num(7.0)).unwrap(), 7);
     }
 
     #[test]

@@ -1,9 +1,26 @@
 //! Offline stand-in for `serde_json`: renders and parses JSON text over
 //! the value tree of the vendored `serde` stub. Covers the API this
 //! workspace calls: `to_string`, `to_string_pretty`, `from_str`, `Error`.
+//!
+//! The codec copies as little as it can, because the artifact store,
+//! the job journal and the serve protocol all go through it on their
+//! hot paths:
+//!
+//! * rendering a [`Value`] borrows it ([`Serialize::as_value`]) instead
+//!   of cloning the tree first, escapes strings run by run, and writes
+//!   numbers straight into the output;
+//! * parsing walks the input's bytes in place, copies unescaped runs as
+//!   whole slices, and hands the parsed tree over by move
+//!   ([`Deserialize::from_owned`]).
+//!
+//! Output bytes are a pure function of the value tree: object keys keep
+//! their order, integral numbers below 2^53 print as integers, other
+//! finite numbers in Rust's shortest round-trip form, non-finite ones as
+//! `null`, and only `"`, `\` and control characters below 0x20 are
+//! escaped. Error offsets are **byte** offsets into the input.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// JSON (de)serialization error.
 #[derive(Debug, Clone)]
@@ -24,29 +41,31 @@ impl From<DeError> for Error {
 }
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(render(value, None))
 }
 
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(render(value, Some(2)))
+}
+
+fn render<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    match value.as_value() {
+        Some(v) => write_value(v, &mut out, indent, 0),
+        None => write_value(&value.to_value(), &mut out, indent, 0),
+    }
+    out
 }
 
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        chars: s.chars().collect(),
-        pos: 0,
-    };
+    let mut p = Parser { src: s, pos: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.chars.len() {
+    if p.pos != s.len() {
         return Err(Error(format!("trailing input at offset {}", p.pos)));
     }
-    Ok(T::from_value(&v)?)
+    Ok(T::from_owned(v)?)
 }
 
 // ---- writer -------------------------------------------------------------
@@ -103,64 +122,96 @@ fn write_seq(
 }
 
 fn write_number(n: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // Rust's Display for f64 is the shortest round-trippable form.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// The escape sequence for byte `b`, if it needs one. Only ASCII bytes
+/// do, so a run between two escapes always ends on a char boundary.
+fn escape(b: u8) -> Option<&'static str> {
+    const CONTROL: [&str; 32] = [
+        "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+        "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+        "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+        "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+    ];
+    match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        0..=0x1f => Some(CONTROL[usize::from(b)]),
+        _ => None,
     }
 }
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if let Some(esc) = escape(b) {
+            out.push_str(&s[run..i]);
+            out.push_str(esc);
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 // ---- parser -------------------------------------------------------------
 
-struct Parser {
-    chars: Vec<char>,
+/// A cursor over the input's bytes. `pos` only ever stops on a char
+/// boundary: structural tokens are ASCII, string runs end at an ASCII
+/// `"` or `\`, and [`Parser::bump`] steps over whole chars.
+struct Parser<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// The char at the cursor, without consuming it.
+    fn peek_char(&self) -> Option<char> {
+        self.src
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
     }
 
     fn bump(&mut self) -> Result<char, Error> {
         let c = self
-            .peek()
+            .peek_char()
             .ok_or_else(|| Error("unexpected end of input".into()))?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         Ok(c)
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, c: char) -> Result<(), Error> {
+        let at = self.pos;
         let got = self.bump()?;
         if got != c {
             return Err(Error(format!(
-                "expected `{c}` at offset {}, found `{got}`",
-                self.pos - 1
+                "expected `{c}` at offset {at}, found `{got}`"
             )));
         }
         Ok(())
@@ -176,24 +227,24 @@ impl Parser {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some('n') => {
+            Some(b'n') => {
                 self.eat_lit("null")?;
                 Ok(Value::Null)
             }
-            Some('t') => {
+            Some(b't') => {
                 self.eat_lit("true")?;
                 Ok(Value::Bool(true))
             }
-            Some('f') => {
+            Some(b'f') => {
                 self.eat_lit("false")?;
                 Ok(Value::Bool(false))
             }
-            Some('"') => Ok(Value::Str(self.parse_string()?)),
-            Some('[') => {
+            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some(']') {
+                if self.peek() == Some(b']') {
                     self.pos += 1;
                     return Ok(Value::Arr(items));
                 }
@@ -207,11 +258,11 @@ impl Parser {
                     }
                 }
             }
-            Some('{') => {
+            Some(b'{') => {
                 self.pos += 1;
                 let mut entries = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some('}') {
+                if self.peek() == Some(b'}') {
                     self.pos += 1;
                     return Ok(Value::Obj(entries));
                 }
@@ -230,19 +281,32 @@ impl Parser {
                     }
                 }
             }
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(Error(format!("unexpected character `{c}`"))),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(_) => Err(Error(format!(
+                "unexpected character `{}`",
+                self.peek_char().unwrap_or(char::REPLACEMENT_CHARACTER)
+            ))),
             None => Err(Error("unexpected end of input".into())),
         }
     }
 
     fn parse_string(&mut self) -> Result<String, Error> {
         self.expect('"')?;
+        let bytes = self.src.as_bytes();
         let mut s = String::new();
         loop {
+            // Copy the run up to the next quote or backslash whole.
+            let run = self.pos;
+            while let Some(&b) = bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' {
+                    break;
+                }
+                self.pos += 1;
+            }
+            s.push_str(&self.src[run..self.pos]);
             match self.bump()? {
                 '"' => return Ok(s),
-                '\\' => match self.bump()? {
+                _ => match self.bump()? {
                     '"' => s.push('"'),
                     '\\' => s.push('\\'),
                     '/' => s.push('/'),
@@ -254,11 +318,15 @@ impl Parser {
                     'u' => {
                         let hi = self.parse_hex4()?;
                         let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair.
+                            // Surrogate pair. A low half outside
+                            // DC00..E000 is not rejected here; its
+                            // wrapped code point is decoded if valid.
                             self.expect('\\')?;
                             self.expect('u')?;
                             let lo = self.parse_hex4()?;
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                            0x10000u32
+                                .wrapping_add((hi - 0xD800) << 10)
+                                .wrapping_add(lo.wrapping_sub(0xDC00))
                         } else {
                             hi
                         };
@@ -269,7 +337,6 @@ impl Parser {
                     }
                     c => return Err(Error(format!("invalid escape `\\{c}`"))),
                 },
-                c => s.push(c),
             }
         }
     }
@@ -287,28 +354,22 @@ impl Parser {
 
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some('-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        self.skip_digits();
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            self.skip_digits();
         }
-        if self.peek() == Some('.') {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            self.skip_digits();
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| Error(format!("invalid number `{text}`")))
@@ -356,6 +417,199 @@ mod tests {
         let json = to_string(&vec![1.5f64, -0.25]).unwrap();
         let back: Vec<f64> = from_str(&json).unwrap();
         assert_eq!(back, vec![1.5, -0.25]);
+    }
+
+    fn round_trip(s: &str) {
+        let json = to_string(s).unwrap();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, s, "via {json:?}");
+    }
+
+    #[test]
+    fn every_escape_class_renders_and_round_trips() {
+        // Named escapes, the \u00XX form for the other control
+        // characters, and characters that pass through unescaped.
+        assert_eq!(to_string("\"\\\n\r\t").unwrap(), r#""\"\\\n\r\t""#);
+        assert_eq!(
+            to_string("\u{0}\u{8}\u{b}\u{c}\u{1f}").unwrap(),
+            r#""\u0000\u0008\u000b\u000c\u001f""#
+        );
+        assert_eq!(to_string("/ \u{7f} é").unwrap(), "\"/ \u{7f} é\"");
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        round_trip(&controls);
+        round_trip("plain ascii");
+        round_trip("");
+        // Non-ASCII directly next to escapes, at both ends of a run.
+        round_trip("é\"中\\😀\n₿\u{1}é");
+        round_trip("\"é\"");
+        round_trip("\\😀");
+    }
+
+    #[test]
+    fn accepted_escapes_decode() {
+        let cases = [
+            (r#""\/""#, "/"),
+            (r#""a\/b""#, "a/b"),
+            (r#""\b\f\n\r\t""#, "\u{8}\u{c}\n\r\t"),
+            (r#""\u00e9\u00E9""#, "éé"),
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""x\ud83d\ude00y""#, "x😀y"),
+            (r#""é\u0041中""#, "éA中"),
+            ("\"raw\u{1}control\"", "raw\u{1}control"),
+        ];
+        for (json, want) in cases {
+            let got: String = from_str(json).unwrap();
+            assert_eq!(got, want, "{json}");
+        }
+    }
+
+    #[test]
+    fn numbers_render_exactly() {
+        let render = |n: f64| to_string(&n).unwrap();
+        assert_eq!(render(-0.0), "0");
+        assert_eq!(render(0.0), "0");
+        assert_eq!(render(0.1), "0.1");
+        assert_eq!(render(-2.5), "-2.5");
+        assert_eq!(render(1.5e-7), "0.00000015");
+        assert_eq!(render(1e21), "1000000000000000000000");
+        assert_eq!(render(9_007_199_254_740_991.0), "9007199254740991");
+        assert_eq!(render(-9_007_199_254_740_991.0), "-9007199254740991");
+        assert_eq!(render(9_007_199_254_740_992.0), "9007199254740992");
+        assert_eq!(render(f64::NAN), "null");
+        assert_eq!(render(f64::INFINITY), "null");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709552000");
+        // 2^53 + 1 is not representable: it rounds to 2^53 on the way in.
+        assert_eq!(
+            to_string(&9_007_199_254_740_993u64).unwrap(),
+            "9007199254740992"
+        );
+    }
+
+    #[test]
+    fn numbers_parse_exactly() {
+        let parse = |s: &str| from_str::<f64>(s).unwrap();
+        let neg_zero = parse("-0");
+        assert_eq!(neg_zero, 0.0);
+        assert!(neg_zero.is_sign_negative());
+        assert_eq!(parse("0.1"), 0.1);
+        assert_eq!(parse("1e21"), 1e21);
+        assert_eq!(parse("1E+2"), 100.0);
+        assert_eq!(parse("25e-1"), 2.5);
+        assert_eq!(parse("9007199254740991"), 9_007_199_254_740_991.0);
+        assert_eq!(parse("9007199254740993"), 9_007_199_254_740_992.0);
+        assert_eq!(
+            from_str::<u64>("9007199254740991").unwrap(),
+            9_007_199_254_740_991
+        );
+        for text in ["-0", "0.1", "1e21", "0.00000015", "9007199254740991"] {
+            let v: f64 = from_str(text).unwrap();
+            assert_eq!(
+                from_str::<f64>(&to_string(&v).unwrap()).unwrap(),
+                v,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn containers_render_and_parse() {
+        let empty_arr = Value::Arr(vec![]);
+        let empty_obj = Value::Obj(vec![]);
+        assert_eq!(to_string(&empty_arr).unwrap(), "[]");
+        assert_eq!(to_string(&empty_obj).unwrap(), "{}");
+        assert_eq!(to_string_pretty(&empty_arr).unwrap(), "[]");
+        let nested = Value::Obj(vec![
+            (
+                "a".to_string(),
+                Value::Arr(vec![empty_arr.clone(), empty_obj.clone()]),
+            ),
+            (
+                "b".to_string(),
+                Value::Obj(vec![(
+                    "c".to_string(),
+                    Value::Arr(vec![Value::Null, Value::Bool(true), Value::Num(-1.0)]),
+                )]),
+            ),
+            ("é\"".to_string(), Value::Str("v".to_string())),
+        ]);
+        let json = to_string(&nested).unwrap();
+        assert_eq!(json, r#"{"a":[[],{}],"b":{"c":[null,true,-1]},"é\"":"v"}"#);
+        assert_eq!(from_str::<Value>(&json).unwrap(), nested);
+        // Whitespace between tokens is accepted and does not change the tree.
+        let spaced = " { \"a\" : [ [ ] , { } ] ,\n\t\"b\" : { \"c\" : [ null , true , -1 ] } , \"é\\\"\" : \"v\" } ";
+        assert_eq!(from_str::<Value>(spaced).unwrap(), nested);
+        let pretty = to_string_pretty(&nested).unwrap();
+        assert_eq!(from_str::<Value>(&pretty).unwrap(), nested);
+        // Serializing through a reference renders the same bytes.
+        assert_eq!(to_string(&&nested).unwrap(), json);
+    }
+
+    fn err(json: &str) -> String {
+        match from_str::<Value>(json) {
+            Ok(v) => panic!("{json:?} parsed as {v:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn error_paths_keep_their_messages() {
+        let cases = [
+            // Unterminated strings and containers.
+            (r#""abc"#, "JSON error: unexpected end of input"),
+            (r#""abc\"#, "JSON error: unexpected end of input"),
+            ("[1, 2", "JSON error: unexpected end of input"),
+            ("{\"a\":1", "JSON error: unexpected end of input"),
+            ("", "JSON error: unexpected end of input"),
+            ("   ", "JSON error: unexpected end of input"),
+            // Bad escapes.
+            (r#""\q""#, "JSON error: invalid escape `\\q`"),
+            ("\"\\é\"", "JSON error: invalid escape `\\é`"),
+            // Bad hex.
+            (r#""\u12g4""#, "JSON error: invalid hex digit `g`"),
+            ("\"\\u12é4\"", "JSON error: invalid hex digit `é`"),
+            (r#""\u12"#, "JSON error: unexpected end of input"),
+            (r#""\udc00""#, "JSON error: invalid \\u escape 0xdc00"),
+            (
+                r#""\ud83dx""#,
+                "JSON error: expected `\\` at offset 7, found `x`",
+            ),
+            // Truncated and misspelt literals.
+            ("tru", "JSON error: unexpected end of input"),
+            ("nul", "JSON error: unexpected end of input"),
+            ("fals", "JSON error: unexpected end of input"),
+            ("trux", "JSON error: expected `e` at offset 3, found `x`"),
+            ("nope", "JSON error: expected `u` at offset 1, found `o`"),
+            // Structure.
+            ("[1 2]", "JSON error: expected `,` or `]`, found `2`"),
+            (
+                "{\"a\":1 \"b\"}",
+                "JSON error: expected `,` or `}`, found `\"`",
+            ),
+            (
+                "{\"a\" 1}",
+                "JSON error: expected `:` at offset 5, found `1`",
+            ),
+            ("{1:2}", "JSON error: expected `\"` at offset 1, found `1`"),
+            ("@", "JSON error: unexpected character `@`"),
+            ("é", "JSON error: unexpected character `é`"),
+            ("[1,]", "JSON error: unexpected character `]`"),
+            // Numbers.
+            ("-", "JSON error: invalid number `-`"),
+            ("1e", "JSON error: invalid number `1e`"),
+            // Trailing input.
+            ("1 x", "JSON error: trailing input at offset 2"),
+            ("{} {}", "JSON error: trailing input at offset 3"),
+            ("\"a\"b", "JSON error: trailing input at offset 3"),
+            // Offsets count bytes: `é` is two of them.
+            ("\"é\" x", "JSON error: trailing input at offset 5"),
+            (
+                "{\"é\" 1}",
+                "JSON error: expected `:` at offset 6, found `1`",
+            ),
+        ];
+        for (json, want) in cases {
+            assert_eq!(err(json), want, "{json:?}");
+        }
     }
 
     #[test]

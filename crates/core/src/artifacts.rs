@@ -36,10 +36,12 @@
 //! destination, and the directory is fsynced ([`crate::atomic_write`])
 //! — a kill at any byte leaves either the old committed store or the
 //! new one, never a tear, at worst plus an orphaned `*.tmp.*` sibling
-//! that the next successful save sweeps and loads ignore. Five
+//! that the next successful save sweeps and loads ignore. Six
 //! sections are persisted — parse records, syntax audits, compiled CGM
-//! graph sources, hierarchy evidence and the embedding cache — each
-//! guarded by an FNV-1a checksum in the `checksums` footer. The
+//! graph sources, hierarchy evidence, the embedding cache and the ANN
+//! indexes — each guarded by an FNV-1a checksum in the `checksums`
+//! footer. A save renders each section once: the checksum is taken
+//! over the same text that is spliced into the document. The
 //! in-memory derived stage (hierarchy + build) is the only artifact not
 //! persisted directly; it is reconstructed from the cached graphs and
 //! evidence, which is what makes a reload cheap.
@@ -178,33 +180,37 @@ impl ArtifactStore {
     }
 
     /// [`ArtifactStore::save`] under an explicit [`CrashPlan`] (or none).
+    ///
+    /// Each section is rendered exactly once: its text is checksummed
+    /// and spliced into the document as is. The result is byte-for-byte
+    /// what rendering the whole store as one [`Value`] object would give
+    /// — `{"magic":…,"schema_version":…,<sections>…,"checksums":{…}}` —
+    /// so [`ArtifactStore::load`] re-derives the same checksums.
     pub fn save_with(&self, path: &Path, plan: Option<&CrashPlan>) -> Result<(), NassimError> {
-        let sections: Vec<(String, Value)> = vec![
-            ("pages".to_string(), keyed_map_to_value(&self.pages)),
-            ("syntax".to_string(), keyed_map_to_value(&self.syntax)),
-            ("graphs".to_string(), self.graphs.to_value()),
-            ("evidence".to_string(), self.evidence.to_value()),
-            ("embeddings".to_string(), self.embeddings.to_value()),
-            ("ann".to_string(), self.ann.to_value()),
+        let sections: [(&str, Value); 6] = [
+            ("pages", keyed_map_to_value(&self.pages)),
+            ("syntax", keyed_map_to_value(&self.syntax)),
+            ("graphs", self.graphs.to_value()),
+            ("evidence", self.evidence.to_value()),
+            ("embeddings", self.embeddings.to_value()),
+            ("ann", self.ann.to_value()),
         ];
+        let mut doc = String::from("{");
+        push_field(&mut doc, "magic", &render(&Value::Str(MAGIC.to_string()))?);
+        push_field(
+            &mut doc,
+            "schema_version",
+            &render(&Value::Num(SCHEMA_VERSION as f64))?,
+        );
         let mut checksums: Vec<(String, Value)> = Vec::with_capacity(sections.len());
         for (name, section) in &sections {
-            checksums.push((name.clone(), Value::Str(section_checksum(section)?)));
+            let text = render(section)?;
+            checksums.push((name.to_string(), Value::Str(checksum_hex(&text))));
+            push_field(&mut doc, name, &text);
         }
-        let mut fields: Vec<(String, Value)> = vec![
-            ("magic".to_string(), Value::Str(MAGIC.to_string())),
-            (
-                "schema_version".to_string(),
-                Value::Num(SCHEMA_VERSION as f64),
-            ),
-        ];
-        fields.extend(sections);
-        fields.push(("checksums".to_string(), Value::Obj(checksums)));
-        let text =
-            serde_json::to_string(&Value::Obj(fields)).map_err(|e| NassimError::Internal {
-                context: format!("serializing artifact store: {e:?}"),
-            })?;
-        atomic_write(path, text.as_bytes(), plan)
+        push_field(&mut doc, "checksums", &render(&Value::Obj(checksums))?);
+        doc.push('}');
+        atomic_write(path, doc.as_bytes(), plan)
     }
 
     /// Load a store saved by [`ArtifactStore::save`]. I/O failures are
@@ -628,10 +634,32 @@ impl ArtifactStore {
 /// because the vendored serializer is order-preserving and every
 /// section is emitted with sorted keys.
 fn section_checksum(section: &Value) -> Result<String, NassimError> {
-    let text = serde_json::to_string(section).map_err(|e| NassimError::Internal {
-        context: format!("serializing store section for checksum: {e:?}"),
-    })?;
-    Ok(format!("{:016x}", fnv1a_str(&text)))
+    Ok(checksum_hex(&render(section)?))
+}
+
+/// The `checksums` footer entry for a section rendered as `text`.
+fn checksum_hex(text: &str) -> String {
+    format!("{:016x}", fnv1a_str(text))
+}
+
+/// Compact JSON of one store value.
+fn render(value: &Value) -> Result<String, NassimError> {
+    serde_json::to_string(value).map_err(|e| NassimError::Internal {
+        context: format!("serializing artifact store: {e:?}"),
+    })
+}
+
+/// Append `"name":json` to a JSON object under construction (opened
+/// with `{`). Store field names are plain ASCII, so they need no
+/// escaping.
+fn push_field(doc: &mut String, name: &str, json: &str) {
+    if !doc.ends_with('{') {
+        doc.push(',');
+    }
+    doc.push('"');
+    doc.push_str(name);
+    doc.push_str("\":");
+    doc.push_str(json);
 }
 
 /// Size-capped read of a store file: the metadata is consulted before

@@ -31,13 +31,22 @@
 //!    payload without re-running anything; re-submitting a pending job
 //!    resumes it; stage records are never duplicated.
 //!
+//! The in-memory index holds a job's pages only while it is pending,
+//! because recovery needs them. A `done` record, live or replayed,
+//! drops them and keeps the page count plus a 64-bit content
+//! fingerprint ([`pages_fingerprint`]), so the index's memory is bounded
+//! by the pending jobs' manuals plus a few fields per done job. The
+//! fingerprint is what still binds a done job id to its content: a
+//! resubmission with the same id but other pages is refused rather than
+//! answered with another manual's payload.
+//!
 //! Appends honour the process-wide `NASSIM_CRASH` plan
 //! ([`nassim::CrashPlan`]): an injected torn append leaves a real torn
 //! tail on disk and poisons the journal (every later append fails
 //! typed) — the simulated kill, observable end to end by restarting.
 
 use crate::protocol::valid_job_id;
-use nassim::corpus::fnv1a_str;
+use nassim::corpus::{fnv1a_str, Fnv1a};
 use nassim::{append_record, global_crash_plan, CrashPlan, MAX_STORE_BYTES};
 use nassim_diag::{Diagnostic, NassimError, Stage};
 use parking_lot::Mutex;
@@ -192,17 +201,15 @@ impl JournalRecord {
     /// `{"sum":"<fnv1a of rec's bytes>","rec":{…}}`. The vendored
     /// serializer is deterministic, so the checksum is reproducible at
     /// replay.
+    ///
+    /// The record is rendered once: the checksummed text is the text
+    /// framed into the line (the checksum is plain hex, so the frame
+    /// needs no escaping).
     pub fn to_line(&self) -> String {
-        let rec = self.to_value();
         #[allow(clippy::unwrap_used)] // Value serialization is infallible.
-        let rec_text = serde_json::to_string(&rec).unwrap();
-        let sum = format!("{:016x}", fnv1a_str(&rec_text));
-        #[allow(clippy::unwrap_used)]
-        serde_json::to_string(&Value::Obj(vec![
-            ("sum".to_string(), Value::Str(sum)),
-            ("rec".to_string(), rec),
-        ]))
-        .unwrap()
+        let rec_text = serde_json::to_string(&self.to_value()).unwrap();
+        let sum = fnv1a_str(&rec_text);
+        format!("{{\"sum\":\"{sum:016x}\",\"rec\":{rec_text}}}")
     }
 
     /// Parse and verify one log line. Any failure — bad JSON, missing
@@ -232,7 +239,13 @@ impl JournalRecord {
 pub struct JobState {
     pub vendor: String,
     pub deadline_ms: Option<u64>,
+    /// The submitted pages while the job is pending (recovery re-runs
+    /// them); empty once the job is done.
     pub pages: Vec<(String, String)>,
+    /// Number of submitted pages, kept after the pages are dropped.
+    pub page_count: usize,
+    /// [`pages_fingerprint`] of the submitted pages.
+    pub fingerprint: u64,
     /// Durably completed stages, in completion order: `(stage, key)`.
     pub stages: Vec<(String, String)>,
     /// The recorded reply payload; `Some` exactly when the job is done.
@@ -248,6 +261,27 @@ impl JobState {
     pub fn has_stage(&self, stage: &str) -> bool {
         self.stages.iter().any(|(s, _)| s == stage)
     }
+
+    /// Whether a submission of (`vendor`, `pages`) is this job's content.
+    /// Compares the vendor and page count first, and hashes `pages` only
+    /// when both match.
+    pub fn same_content(&self, vendor: &str, pages: &[(String, String)]) -> bool {
+        self.vendor == vendor
+            && self.page_count == pages.len()
+            && self.fingerprint == pages_fingerprint(pages)
+    }
+}
+
+/// Content fingerprint of a job's pages: length-prefixed FNV-1a over
+/// every (url, html) pair, the same 64-bit content addressing
+/// [`nassim::parser::page_key`] gives each page in the artifact store.
+pub fn pages_fingerprint(pages: &[(String, String)]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_usize(pages.len());
+    for (url, html) in pages {
+        h.write_field(url).write_field(html);
+    }
+    h.finish()
 }
 
 /// The write-ahead job journal: an fsynced append-only log plus the
@@ -437,9 +471,21 @@ impl JobJournal {
         }
     }
 
-    /// Current state of one job.
+    /// Current state of one job. Clones a pending job's pages; the
+    /// accessors below read single fields without that copy.
     pub fn job(&self, id: &str) -> Option<JobState> {
         self.jobs.lock().get(id).cloned()
+    }
+
+    /// Run `f` on one job's state under the index lock, without cloning
+    /// it.
+    pub fn with_job<R>(&self, id: &str, f: impl FnOnce(&JobState) -> R) -> Option<R> {
+        self.jobs.lock().get(id).map(f)
+    }
+
+    /// Whether `stage` of job `id` is already durably recorded.
+    pub fn has_stage(&self, id: &str, stage: &str) -> bool {
+        self.with_job(id, |s| s.has_stage(stage)).unwrap_or(false)
     }
 
     /// The recorded reply payload of a done job.
@@ -456,6 +502,11 @@ impl JobJournal {
             .filter(|(_, s)| !s.is_done())
             .map(|(id, s)| (id.clone(), s.clone()))
             .collect()
+    }
+
+    /// Number of pending jobs, counted without cloning them.
+    pub fn pending_count(&self) -> usize {
+        self.jobs.lock().values().filter(|s| !s.is_done()).count()
     }
 
     /// Total jobs the journal knows about.
@@ -485,11 +536,14 @@ fn apply_record(jobs: &mut BTreeMap<String, JobState>, rec: JournalRecord) {
         } => {
             // Field writes rather than wholesale insert: a duplicate
             // `submitted` (a pending job re-submitted after a crash)
-            // must not erase recorded stages.
+            // must not erase recorded stages, and one replayed after
+            // `done` must not bring the dropped pages back.
             let state = jobs.entry(job).or_default();
             state.vendor = vendor;
             state.deadline_ms = deadline_ms;
-            if state.pages.is_empty() {
+            if state.pages.is_empty() && !state.is_done() {
+                state.page_count = pages.len();
+                state.fingerprint = pages_fingerprint(&pages);
                 state.pages = pages;
             }
         }
@@ -500,7 +554,11 @@ fn apply_record(jobs: &mut BTreeMap<String, JobState>, rec: JournalRecord) {
             }
         }
         JournalRecord::Done { job, result } => {
-            jobs.entry(job).or_default().result = Some(result);
+            // Done jobs answer from `result`; their pages are only
+            // needed by recovery, which is over for this job.
+            let state = jobs.entry(job).or_default();
+            state.result = Some(result);
+            state.pages = Vec::new();
         }
     }
 }
@@ -667,6 +725,118 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn submitted(job: &str, html: &str) -> JournalRecord {
+        JournalRecord::Submitted {
+            job: job.to_string(),
+            vendor: "cirrus".to_string(),
+            deadline_ms: None,
+            pages: vec![
+                ("u1".to_string(), html.to_string()),
+                ("u2".to_string(), "<html>second</html>".to_string()),
+            ],
+        }
+    }
+
+    fn pages_of(rec: &JournalRecord) -> Vec<(String, String)> {
+        match rec {
+            JournalRecord::Submitted { pages, .. } => pages.clone(),
+            _ => unreachable!("not a submitted record"),
+        }
+    }
+
+    /// The index facts the dropped-pages design promises, checked on a
+    /// live journal and again on its replay.
+    fn assert_done_and_pending(
+        journal: &JobJournal,
+        done: &JournalRecord,
+        pending: &JournalRecord,
+    ) {
+        let d = journal.job("done-1").unwrap();
+        assert!(d.is_done());
+        assert!(d.pages.is_empty(), "a done job must not hold its pages");
+        assert_eq!(d.page_count, 2);
+        assert_eq!(d.fingerprint, pages_fingerprint(&pages_of(done)));
+
+        let p = journal.job("pending-1").unwrap();
+        assert!(!p.is_done());
+        assert_eq!(
+            p.pages,
+            pages_of(pending),
+            "recovery needs a pending job's pages"
+        );
+        assert_eq!(p.page_count, 2);
+        assert_eq!(journal.pending_count(), 1);
+        assert_eq!(journal.pending_jobs()[0].1.pages, pages_of(pending));
+
+        // Identical content is recognised; other pages, another vendor
+        // or another page count are not.
+        for (id, rec) in [("done-1", done), ("pending-1", pending)] {
+            let pages = pages_of(rec);
+            let same = |vendor: &str, pages: &[(String, String)]| {
+                journal
+                    .with_job(id, |s| s.same_content(vendor, pages))
+                    .unwrap()
+            };
+            assert!(same("cirrus", &pages), "{id}");
+            let mut edited = pages.clone();
+            edited[0].1.push(' ');
+            assert!(!same("cirrus", &edited), "{id}");
+            assert!(!same("helix", &pages), "{id}");
+            assert!(!same("cirrus", &pages[..1]), "{id}");
+        }
+        assert!(journal.has_stage("done-1", "parse"));
+        assert!(!journal.has_stage("done-1", "build"));
+        assert!(!journal.has_stage("missing", "parse"));
+    }
+
+    #[test]
+    fn done_jobs_drop_their_pages_live_and_at_replay() {
+        let dir = temp_journal("dropped-pages");
+        let done = submitted("done-1", "<html>a</html>");
+        let pending = submitted("pending-1", "<html>b</html>");
+        {
+            let (journal, _) = JobJournal::open(&dir).unwrap();
+            journal.append(&done).unwrap();
+            journal.append(&pending).unwrap();
+            journal
+                .append(&JournalRecord::Stage {
+                    job: "done-1".to_string(),
+                    stage: "parse".to_string(),
+                    key: "0".repeat(16),
+                })
+                .unwrap();
+            journal
+                .append(&JournalRecord::Done {
+                    job: "done-1".to_string(),
+                    result: Value::Num(1.0),
+                })
+                .unwrap();
+            assert_done_and_pending(&journal, &done, &pending);
+            // A `submitted` replayed after `done` (a crash-resumed
+            // resubmit) does not bring the pages back.
+            apply_record(&mut journal.jobs.lock(), done.clone());
+            assert!(journal.job("done-1").unwrap().pages.is_empty());
+        }
+        let (journal, diags) = JobJournal::open(&dir).unwrap();
+        assert!(diags.is_empty());
+        assert_done_and_pending(&journal, &done, &pending);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_is_length_prefixed() {
+        let pair = |u: &str, h: &str| vec![(u.to_string(), h.to_string())];
+        assert_ne!(
+            pages_fingerprint(&pair("ab", "c")),
+            pages_fingerprint(&pair("a", "bc"))
+        );
+        assert_ne!(pages_fingerprint(&[]), pages_fingerprint(&pair("", "")));
+        assert_eq!(
+            pages_fingerprint(&pair("a", "b")),
+            pages_fingerprint(&pair("a", "b"))
+        );
+    }
+
     #[test]
     fn replayed_duplicates_never_double_apply() {
         let mut jobs = BTreeMap::new();
@@ -680,7 +850,7 @@ mod tests {
         }
         let state = jobs.get("j1").unwrap();
         assert_eq!(state.stages.len(), 1);
-        assert_eq!(state.pages.len(), 1);
+        assert_eq!(state.page_count, 1);
         assert!(state.is_done());
     }
 }

@@ -691,7 +691,7 @@ fn health_payload(ctx: &ConnCtx) -> Value {
         ("journal_torn".to_string(), Value::Num(c.journal_torn as f64)),
         (
             "journal_pending".to_string(),
-            Value::Num(ctx.journal.as_ref().map_or(0, |j| j.pending_jobs().len()) as f64),
+            Value::Num(ctx.journal.as_ref().map_or(0, |j| j.pending_count()) as f64),
         ),
         (
             "pool".to_string(),
@@ -793,7 +793,7 @@ fn run_submit_pipeline(
         let Some((journal, job)) = journal else {
             return Ok(());
         };
-        if journal.job(job).is_some_and(|s| s.has_stage(stage)) {
+        if journal.has_stage(job, stage) {
             return Ok(());
         }
         store.save(&journal.job_store_path(job))?;
@@ -959,11 +959,15 @@ fn submit_manual(
                     .to_line(),
                 );
             };
-            if let Some(state) = journal.job(id) {
+            // Read only what the check compares: cloning the state would
+            // copy a pending job's whole manual.
+            let existing =
+                journal.with_job(id, |s| (s.same_content(vendor, pages), s.result.clone()));
+            if let Some((same_content, result)) = existing {
                 // A job id binds to its content: the same id with a
                 // different payload is a client bug, not a resume or a
                 // replay.
-                if state.vendor != vendor || state.pages != pages {
+                if !same_content {
                     return write_line(
                         writer,
                         &ErrReply::new(
@@ -976,7 +980,7 @@ fn submit_manual(
                 // Idempotent replay: a done job answers its recorded
                 // payload — byte-identical to the original final frame —
                 // without re-running anything.
-                if let Some(result) = state.result {
+                if let Some(result) = result {
                     ctx.counters.served.fetch_add(1, Ordering::Relaxed);
                     return write_line(writer, &ok_line(result));
                 }
@@ -1061,7 +1065,34 @@ fn job_status(ctx: &ConnCtx, job: &str, writer: &mut impl Write) -> io::Result<(
             .to_line(),
         );
     };
-    match journal.job(job) {
+    // Built under the index lock so a pending job's pages are never
+    // cloned just to be counted.
+    let status = journal.with_job(job, |state| {
+        let mut fields: Vec<(String, Value)> = vec![
+            ("job".to_string(), Value::Str(job.to_string())),
+            (
+                "state".to_string(),
+                Value::Str(if state.is_done() { "done" } else { "pending" }.to_string()),
+            ),
+            ("vendor".to_string(), Value::Str(state.vendor.clone())),
+            ("pages".to_string(), Value::Num(state.page_count as f64)),
+            (
+                "stages".to_string(),
+                Value::Arr(
+                    state
+                        .stages
+                        .iter()
+                        .map(|(s, _)| Value::Str(s.clone()))
+                        .collect(),
+                ),
+            ),
+        ];
+        if let Some(result) = &state.result {
+            fields.push(("result".to_string(), result.clone()));
+        }
+        Value::Obj(fields)
+    });
+    match status {
         None => write_line(
             writer,
             &ErrReply::new(
@@ -1070,33 +1101,7 @@ fn job_status(ctx: &ConnCtx, job: &str, writer: &mut impl Write) -> io::Result<(
             )
             .to_line(),
         ),
-        Some(state) => {
-            let mut fields: Vec<(String, Value)> = vec![
-                ("job".to_string(), Value::Str(job.to_string())),
-                (
-                    "state".to_string(),
-                    Value::Str(
-                        if state.is_done() { "done" } else { "pending" }.to_string(),
-                    ),
-                ),
-                ("vendor".to_string(), Value::Str(state.vendor.clone())),
-                ("pages".to_string(), Value::Num(state.pages.len() as f64)),
-                (
-                    "stages".to_string(),
-                    Value::Arr(
-                        state
-                            .stages
-                            .iter()
-                            .map(|(s, _)| Value::Str(s.clone()))
-                            .collect(),
-                    ),
-                ),
-            ];
-            if let Some(result) = state.result {
-                fields.push(("result".to_string(), result));
-            }
-            write_line(writer, &ok_line(Value::Obj(fields)))
-        }
+        Some(payload) => write_line(writer, &ok_line(payload)),
     }
 }
 

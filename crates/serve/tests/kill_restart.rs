@@ -236,3 +236,71 @@ fn journaled_submissions_are_idempotent_in_process() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn done_jobs_stay_bound_to_their_content_across_restart() {
+    let dir = temp_journal("content-binding");
+    let pages = submit_pages();
+    let request = submit_request(&pages);
+    // Same id, same vendor and page count, one page edited: only the
+    // content fingerprint tells it apart once the pages are dropped.
+    let mut edited = pages.clone();
+    edited[1].1.push_str("<p>edited</p>");
+    let other_vendor = Request::SubmitManual {
+        vendor: "helix".to_string(),
+        pages: pages.clone(),
+        deadline_ms: None,
+        job: Some(JOB.to_string()),
+    };
+    let status_request = Request::JobStatus {
+        job: JOB.to_string(),
+    };
+
+    let spawn = || {
+        let (state, _) = ServeState::build(&StateOptions::default()).unwrap();
+        ServeDaemon::spawn(
+            Arc::new(state),
+            ServeConfig {
+                journal_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let check = |client: &mut ServeClient, done_ok: &str, status: &str| {
+        let (raw, reply) = client.request_full(&request).unwrap();
+        assert_eq!(raw.len(), 1, "replay must not re-run: {raw:?}");
+        assert_eq!(ok_frame(&raw, &reply), done_ok);
+        for conflicting in [submit_request(&edited), other_vendor.clone()] {
+            match client.request(&conflicting).unwrap() {
+                Reply::Err(e) => assert_eq!(e.kind, ErrKind::Malformed),
+                other => panic!("conflicting resubmit answered {other:?}"),
+            }
+        }
+        let (raw, reply) = client.request_full(&status_request).unwrap();
+        assert_eq!(ok_frame(&raw, &reply), status);
+    };
+
+    let mut daemon = spawn();
+    let mut client = ServeClient::connect(daemon.addr()).unwrap();
+    let (raw, reply) = client.request_full(&request).unwrap();
+    let done_ok = ok_frame(&raw, &reply);
+    let (raw, reply) = client.request_full(&status_request).unwrap();
+    let status = ok_frame(&raw, &reply);
+    // `job-status` still counts the pages the done job no longer holds.
+    assert!(
+        status.contains(&format!("\"pages\":{}", pages.len())),
+        "{status}"
+    );
+    check(&mut client, &done_ok, &status);
+    drop(client);
+    daemon.stop();
+
+    // Replayed from the journal alone: the same answers, byte for byte.
+    let mut daemon = spawn();
+    let mut client = ServeClient::connect(daemon.addr()).unwrap();
+    check(&mut client, &done_ok, &status);
+    drop(client);
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -174,7 +174,7 @@ fn seeded_torn_appends_replay_the_prefix_and_converge() {
                 Some(Value::Obj(vec![("n".to_string(), Value::Num(i as f64))])),
                 "seed {seed}: job-{i} payload diverged"
             );
-            assert_eq!(state.pages.len(), 1);
+            assert_eq!(state.page_count, 1);
         }
         let injected = plan.take_injections();
         assert!(
