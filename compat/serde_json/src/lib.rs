@@ -17,7 +17,9 @@
 //! their order, integral numbers below 2^53 print as integers, other
 //! finite numbers in Rust's shortest round-trip form, non-finite ones as
 //! `null`, and only `"`, `\` and control characters below 0x20 are
-//! escaped. Error offsets are **byte** offsets into the input.
+//! escaped. Error offsets are **byte** offsets into the input. A `\u`
+//! escape of a high surrogate must be followed by one of a low
+//! surrogate; an unpaired surrogate is an `invalid \u escape` error.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt::{self, Write as _};
@@ -318,15 +320,17 @@ impl Parser<'_> {
                     'u' => {
                         let hi = self.parse_hex4()?;
                         let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair. A low half outside
-                            // DC00..E000 is not rejected here; its
-                            // wrapped code point is decoded if valid.
+                            // Surrogate pair: the high half must be
+                            // followed by a low half in DC00..E000.
                             self.expect('\\')?;
                             self.expect('u')?;
                             let lo = self.parse_hex4()?;
-                            0x10000u32
-                                .wrapping_add((hi - 0xD800) << 10)
-                                .wrapping_add(lo.wrapping_sub(0xDC00))
+                            if !(0xDC00..0xE000).contains(&lo) {
+                                return Err(Error(format!(
+                                    "invalid \\u escape {hi:#x} {lo:#x}: unpaired surrogate"
+                                )));
+                            }
+                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                         } else {
                             hi
                         };
@@ -453,6 +457,9 @@ mod tests {
             (r#""\b\f\n\r\t""#, "\u{8}\u{c}\n\r\t"),
             (r#""\u00e9\u00E9""#, "éé"),
             (r#""\ud83d\ude00""#, "😀"),
+            // Both ends of the surrogate ranges.
+            (r#""\ud800\udc00""#, "\u{10000}"),
+            (r#""\udbff\udfff""#, "\u{10ffff}"),
             (r#""x\ud83d\ude00y""#, "x😀y"),
             (r#""é\u0041中""#, "éA中"),
             ("\"raw\u{1}control\"", "raw\u{1}control"),
@@ -569,6 +576,19 @@ mod tests {
             ("\"\\u12é4\"", "JSON error: invalid hex digit `é`"),
             (r#""\u12"#, "JSON error: unexpected end of input"),
             (r#""\udc00""#, "JSON error: invalid \\u escape 0xdc00"),
+            // A high surrogate must pair with a low one.
+            (
+                r#""\ud800\u0041""#,
+                "JSON error: invalid \\u escape 0xd800 0x41: unpaired surrogate",
+            ),
+            (
+                r#""\ud800\ud800""#,
+                "JSON error: invalid \\u escape 0xd800 0xd800: unpaired surrogate",
+            ),
+            (
+                r#""\udbff\ue000""#,
+                "JSON error: invalid \\u escape 0xdbff 0xe000: unpaired surrogate",
+            ),
             (
                 r#""\ud83dx""#,
                 "JSON error: expected `\\` at offset 7, found `x`",

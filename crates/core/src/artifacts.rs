@@ -40,8 +40,13 @@
 //! sections are persisted — parse records, syntax audits, compiled CGM
 //! graph sources, hierarchy evidence, the embedding cache and the ANN
 //! indexes — each guarded by an FNV-1a checksum in the `checksums`
-//! footer. A save renders each section once: the checksum is taken
-//! over the same text that is spliced into the document. The
+//! footer. A section is rendered once per change, not once per save:
+//! each of the six maps keeps its rendered text and checksum in a
+//! [`SectionMemo`] that every insert into that map clears, and a save
+//! renders only the sections whose memo is empty, splicing the rest in
+//! as they are. The checksum is always taken over the very text that is
+//! spliced into the document. Loads start with empty memos; the memos
+//! (one copy of each section's text) are freed with the store. The
 //! in-memory derived stage (hierarchy + build) is the only artifact not
 //! persisted directly; it is reconstructed from the cached graphs and
 //! evidence, which is what makes a reload cheap.
@@ -60,7 +65,7 @@
 
 use crate::crash::{atomic_write, global_crash_plan, CrashPlan};
 use crate::pipeline::{finish_assimilation, keyed_pages, Assimilation};
-use nassim_corpus::{fnv1a_str, Fnv1a};
+use nassim_corpus::{fnv1a_str, Fnv1a, RenderedSection, SectionMemo};
 use nassim_diag::NassimError;
 use nassim_diag::{Diagnostic, Stage};
 use nassim_html::IngestBudget;
@@ -76,6 +81,7 @@ use nassim_validator::{
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// First line of defence against foreign files: a store that does not
@@ -131,8 +137,12 @@ struct DerivedStage {
 pub struct ArtifactStore {
     /// Per-page parse artifacts, keyed by [`nassim_parser::page_key`].
     pages: HashMap<u64, Arc<PageRecord>>,
+    /// The `pages` section's text, cleared on every insert into `pages`.
+    pages_memo: SectionMemo,
     /// Per-page syntax audits, keyed by [`nassim_validator::syntax_key`].
     syntax: HashMap<u64, Arc<PageSyntax>>,
+    /// The `syntax` section's text, cleared on every insert into `syntax`.
+    syntax_memo: SectionMemo,
     /// Per-page compiled CGM graphs (persisted by their CLI sources).
     pub graphs: GraphCache,
     /// Per-page hierarchy evidence, keyed against the whole-corpus
@@ -149,6 +159,8 @@ pub struct ArtifactStore {
     /// caches after a reload).
     derived: Option<(u64, Arc<DerivedStage>)>,
     pub stats: StoreStats,
+    /// Sections rendered by saves since the store was created.
+    section_renders: AtomicUsize,
 }
 
 impl ArtifactStore {
@@ -166,6 +178,12 @@ impl ArtifactStore {
         self.syntax.len()
     }
 
+    /// Sections rendered by saves since the store was created (or
+    /// loaded). A save whose six memos are all current renders none.
+    pub fn section_renders(&self) -> usize {
+        self.section_renders.load(Ordering::Relaxed)
+    }
+
     /// Persist the store as versioned, checksummed JSON via
     /// [`crate::atomic_write`]: a kill at any byte leaves the
     /// previously committed file intact. Only content-addressed
@@ -181,21 +199,40 @@ impl ArtifactStore {
 
     /// [`ArtifactStore::save`] under an explicit [`CrashPlan`] (or none).
     ///
-    /// Each section is rendered exactly once: its text is checksummed
-    /// and spliced into the document as is. The result is byte-for-byte
-    /// what rendering the whole store as one [`Value`] object would give
-    /// — `{"magic":…,"schema_version":…,<sections>…,"checksums":{…}}` —
-    /// so [`ArtifactStore::load`] re-derives the same checksums.
+    /// Each section comes from its map's [`SectionMemo`]: only a section
+    /// whose map gained an entry since the last save is rendered again.
+    /// Its text is checksummed and spliced into the document as is. The
+    /// result is byte-for-byte what rendering the whole store as one
+    /// [`Value`] object would give —
+    /// `{"magic":…,"schema_version":…,<sections>…,"checksums":{…}}` — so
+    /// [`ArtifactStore::load`] re-derives the same checksums.
     pub fn save_with(&self, path: &Path, plan: Option<&CrashPlan>) -> Result<(), NassimError> {
-        let sections: [(&str, Value); 6] = [
-            ("pages", keyed_map_to_value(&self.pages)),
-            ("syntax", keyed_map_to_value(&self.syntax)),
-            ("graphs", self.graphs.to_value()),
-            ("evidence", self.evidence.to_value()),
-            ("embeddings", self.embeddings.to_value()),
-            ("ann", self.ann.to_value()),
+        let render_section = |value: &Value| {
+            self.section_renders.fetch_add(1, Ordering::Relaxed);
+            render(value)
+        };
+        let sections: [(&str, Arc<RenderedSection>); 6] = [
+            (
+                "pages",
+                self.pages_memo
+                    .get_or_render(|| render_section(&keyed_map_to_value(&self.pages)))?,
+            ),
+            (
+                "syntax",
+                self.syntax_memo
+                    .get_or_render(|| render_section(&keyed_map_to_value(&self.syntax)))?,
+            ),
+            ("graphs", self.graphs.rendered_section(render_section)?),
+            ("evidence", self.evidence.rendered_section(render_section)?),
+            (
+                "embeddings",
+                self.embeddings.rendered_section(render_section)?,
+            ),
+            ("ann", self.ann.rendered_section(render_section)?),
         ];
-        let mut doc = String::from("{");
+        let body: usize = sections.iter().map(|(_, s)| s.text.len()).sum();
+        let mut doc = String::with_capacity(body + 512);
+        doc.push('{');
         push_field(&mut doc, "magic", &render(&Value::Str(MAGIC.to_string()))?);
         push_field(
             &mut doc,
@@ -204,9 +241,8 @@ impl ArtifactStore {
         );
         let mut checksums: Vec<(String, Value)> = Vec::with_capacity(sections.len());
         for (name, section) in &sections {
-            let text = render(section)?;
-            checksums.push((name.to_string(), Value::Str(checksum_hex(&text))));
-            push_field(&mut doc, name, &text);
+            checksums.push((name.to_string(), Value::Str(checksum_hex(section.checksum))));
+            push_field(&mut doc, name, &section.text);
         }
         push_field(&mut doc, "checksums", &render(&Value::Obj(checksums))?);
         doc.push('}');
@@ -273,8 +309,7 @@ impl ArtifactStore {
             evidence,
             embeddings,
             ann,
-            derived: None,
-            stats: StoreStats::default(),
+            ..ArtifactStore::default()
         })
     }
 
@@ -460,8 +495,7 @@ impl ArtifactStore {
                 evidence,
                 embeddings,
                 ann,
-                derived: None,
-                stats: StoreStats::default(),
+                ..ArtifactStore::default()
             },
             diagnostics,
         ))
@@ -541,6 +575,7 @@ impl ArtifactStore {
                 self.pages.insert(keyed[i].key, rec.clone());
                 records[i] = Some(rec);
             }
+            self.pages_memo.clear();
         }
         let records: Vec<Arc<PageRecord>> = records
             .into_iter()
@@ -578,6 +613,7 @@ impl ArtifactStore {
                     self.stats.syntax_misses += 1;
                     let audit = Arc::new(audit_page(page));
                     self.syntax.insert(k, audit.clone());
+                    self.syntax_memo.clear();
                     per_page.push(audit);
                 }
             }
@@ -634,12 +670,12 @@ impl ArtifactStore {
 /// because the vendored serializer is order-preserving and every
 /// section is emitted with sorted keys.
 fn section_checksum(section: &Value) -> Result<String, NassimError> {
-    Ok(checksum_hex(&render(section)?))
+    Ok(checksum_hex(fnv1a_str(&render(section)?)))
 }
 
-/// The `checksums` footer entry for a section rendered as `text`.
-fn checksum_hex(text: &str) -> String {
-    format!("{:016x}", fnv1a_str(text))
+/// The `checksums` footer entry for a section text's FNV-1a checksum.
+fn checksum_hex(checksum: u64) -> String {
+    format!("{checksum:016x}")
 }
 
 /// Compact JSON of one store value.
@@ -925,6 +961,35 @@ mod tests {
         assimilations_match(&full, &staged);
     }
 
+    /// A dependency-free 8-dim embedder: byte values summed by position
+    /// mod 8, plus `offset` (so two offsets embed every text apart).
+    struct ByteEmbedder {
+        offset: f32,
+    }
+
+    impl nassim_mapper::Embedder for ByteEmbedder {
+        fn embed(&self, text: &str) -> Vec<f32> {
+            let mut v = vec![self.offset; 8];
+            for (i, b) in text.bytes().enumerate() {
+                v[i % 8] += b as f32;
+            }
+            v
+        }
+    }
+
+    fn test_udm(seed: u64, distractors: usize) -> nassim_corpus::Udm {
+        nassim_datasets::udmgen::generate(
+            &Catalog::base(),
+            &nassim_datasets::udmgen::UdmGenOptions {
+                seed,
+                paraphrase_strength: 0.8,
+                distractors,
+                synthetic_leaves: 0,
+            },
+        )
+        .udm
+    }
+
     /// Build a store with all six persisted sections populated (the
     /// lossy/salvage tests damage them one at a time).
     fn populated_store(seed: u64) -> (manualgen::Manual, ArtifactStore) {
@@ -938,28 +1003,9 @@ mod tests {
         let mut store = ArtifactStore::new();
         assimilate_incremental(parser.as_ref(), pages, &IngestBudget::default(), &mut store)
             .unwrap();
-        let udm_data = nassim_datasets::udmgen::generate(
-            &Catalog::base(),
-            &nassim_datasets::udmgen::UdmGenOptions {
-                seed: 1,
-                paraphrase_strength: 0.8,
-                distractors: 5,
-                synthetic_leaves: 0,
-            },
-        );
-        struct TestEmbedder;
-        impl nassim_mapper::Embedder for TestEmbedder {
-            fn embed(&self, text: &str) -> Vec<f32> {
-                let mut v = vec![0.0f32; 8];
-                for (i, b) in text.bytes().enumerate() {
-                    v[i % 8] += b as f32;
-                }
-                v
-            }
-        }
         store.mapper_dl_sublinear(
-            &udm_data.udm,
-            Arc::new(TestEmbedder),
+            &test_udm(1, 5),
+            Arc::new(ByteEmbedder { offset: 0.0 }),
             "test-embedder",
             RetrievalMode::Quantized,
         );
@@ -1067,17 +1113,7 @@ mod tests {
         store.save(&pristine_path).unwrap();
         let pristine = std::fs::read_to_string(&pristine_path).unwrap();
 
-        let counts = |s: &ArtifactStore| {
-            [
-                s.page_count(),
-                s.syntax_count(),
-                s.graphs.len(),
-                s.evidence.len(),
-                s.embeddings.len(),
-                s.ann.len(),
-            ]
-        };
-        let full = counts(&store);
+        let full = section_lens(&store);
         for (si, name) in SECTIONS.iter().enumerate() {
             // Replace the whole section with bytes that still parse as
             // JSON but cannot be what `save` wrote: the checksum footer
@@ -1103,7 +1139,7 @@ mod tests {
             // …while the lossy load drops exactly that section and
             // keeps the other five intact, with one Internal warning.
             let (salvaged, diags) = ArtifactStore::load_lossy(&path).unwrap();
-            let got = counts(&salvaged);
+            let got = section_lens(&salvaged);
             for (i, (&g, &f)) in got.iter().zip(full.iter()).enumerate() {
                 if i == si {
                     assert_eq!(g, 0, "damaged section `{name}` must come back empty");
@@ -1129,25 +1165,7 @@ mod tests {
     /// and the warmed mapper ranks bit-identically to the original.
     #[test]
     fn ann_index_round_trips_through_save_and_load() {
-        struct ByteEmbedder;
-        impl nassim_mapper::Embedder for ByteEmbedder {
-            fn embed(&self, text: &str) -> Vec<f32> {
-                let mut v = vec![0.0f32; 8];
-                for (i, b) in text.bytes().enumerate() {
-                    v[i % 8] += b as f32;
-                }
-                v
-            }
-        }
-        let udm_data = nassim_datasets::udmgen::generate(
-            &Catalog::base(),
-            &nassim_datasets::udmgen::UdmGenOptions {
-                seed: 3,
-                paraphrase_strength: 0.8,
-                distractors: 40,
-                synthetic_leaves: 0,
-            },
-        );
+        let udm = test_udm(3, 40);
         let query = nassim_mapper::Context {
             sequences: vec![
                 "mtu".to_string(),
@@ -1158,8 +1176,8 @@ mod tests {
 
         let mut store = ArtifactStore::new();
         let mapper = store.mapper_dl_sublinear(
-            &udm_data.udm,
-            Arc::new(ByteEmbedder),
+            &udm,
+            Arc::new(ByteEmbedder { offset: 0.0 }),
             "byte-embedder",
             RetrievalMode::Quantized,
         );
@@ -1175,8 +1193,8 @@ mod tests {
         let mut loaded = ArtifactStore::load(&path).unwrap();
         assert_eq!(loaded.ann.len(), store.ann.len());
         let warmed = loaded.mapper_dl_sublinear(
-            &udm_data.udm,
-            Arc::new(ByteEmbedder),
+            &udm,
+            Arc::new(ByteEmbedder { offset: 0.0 }),
             "byte-embedder",
             RetrievalMode::Quantized,
         );
@@ -1331,5 +1349,224 @@ mod tests {
             Err(NassimError::Io { .. }) => {}
             other => panic!("expected Io, got {:?}", other.err().map(|e| e.to_string())),
         }
+    }
+
+    /// Entry counts of the six persisted maps, in [`SECTIONS`] order.
+    fn section_lens(s: &ArtifactStore) -> [usize; 6] {
+        [
+            s.page_count(),
+            s.syntax_count(),
+            s.graphs.len(),
+            s.evidence.len(),
+            s.embeddings.len(),
+            s.ann.len(),
+        ]
+    }
+
+    /// The six sections as the live maps render them now, bypassing
+    /// every memo, in [`SECTIONS`] order.
+    fn live_sections(s: &ArtifactStore) -> [Value; 6] {
+        [
+            keyed_map_to_value(&s.pages),
+            keyed_map_to_value(&s.syntax),
+            s.graphs.to_value(),
+            s.evidence.to_value(),
+            s.embeddings.to_value(),
+            s.ann.to_value(),
+        ]
+    }
+
+    /// Save `store` through its memos and check the file: every section
+    /// holds exactly what the live maps hold, and a cold store (loaded
+    /// back, so every memo is empty) re-saves to the same bytes.
+    fn check_memoized_save(store: &ArtifactStore, dir: &Path, tag: &str) {
+        let path = dir.join(format!("{tag}.json"));
+        store.save(&path).unwrap();
+        let bytes = std::fs::read_to_string(&path).unwrap();
+        let saved: Value = serde_json::from_str(&bytes).unwrap();
+        for (name, live) in SECTIONS.iter().zip(live_sections(store)) {
+            assert_eq!(
+                saved.get(name),
+                Some(&live),
+                "{tag}: stale `{name}` section"
+            );
+        }
+        let cold_path = dir.join(format!("{tag}-cold.json"));
+        ArtifactStore::load(&path)
+            .unwrap()
+            .save(&cold_path)
+            .unwrap();
+        assert!(
+            std::fs::read_to_string(&cold_path).unwrap() == bytes,
+            "{tag}: memoized save differs from a cold store's save"
+        );
+    }
+
+    /// Rename the first CLI keyword of the last page, so the page, its
+    /// CLI set and the corpus template fingerprint all change.
+    fn edit_one_cli(pages: &mut [(String, String)]) {
+        let style = style::vendor("helix").unwrap();
+        let (_, html) = pages.last_mut().unwrap();
+        let span = style
+            .css
+            .keyword_span
+            .iter()
+            .filter_map(|class| html.find(&format!("<span class=\"{class}\">")))
+            .min()
+            .expect("a keyword span");
+        let close = span + html[span..].find("</span>").unwrap();
+        html.insert_str(close, "zz");
+    }
+
+    fn renders_of(store: &ArtifactStore, save: impl FnOnce(&ArtifactStore)) -> usize {
+        let before = store.section_renders();
+        save(store);
+        store.section_renders() - before
+    }
+
+    #[test]
+    fn staged_saves_render_each_section_once_per_change() {
+        let m = manual(19);
+        let parser = parser_for("helix").unwrap();
+        let pages: Vec<(&str, &str)> = m
+            .pages
+            .iter()
+            .map(|p| (p.url.as_str(), p.html.as_str()))
+            .collect();
+        let budget = IngestBudget::default();
+        let dir = std::env::temp_dir().join("nassim-artifact-memo-staged");
+        std::fs::create_dir_all(&dir).unwrap();
+        let dir = dir.as_path();
+        let save = |tag: &'static str| move |s: &ArtifactStore| check_memoized_save(s, dir, tag);
+
+        // The four saves a journaled submit makes. The first renders all
+        // six sections (the four still empty ones included); after that
+        // only a section whose map gained entries is rendered again, so
+        // `pages` — most of the bytes — is rendered once per job.
+        let mut store = ArtifactStore::new();
+        let (parse, page_keys) = store
+            .parse_stage(parser.as_ref(), pages.clone(), &budget)
+            .unwrap();
+        assert_eq!(renders_of(&store, save("parse")), 6);
+        store.syntax_stage(&parse);
+        assert_eq!(
+            renders_of(&store, save("syntax")),
+            1,
+            "only `syntax` changed"
+        );
+        let derivation = store.hierarchy_stage(&parse, &page_keys);
+        assert_eq!(
+            renders_of(&store, save("hierarchy")),
+            2,
+            "only `graphs` and `evidence` changed"
+        );
+        store.build_stage(parser.vendor(), &parse, &page_keys, &derivation);
+        assert_eq!(
+            renders_of(&store, save("build")),
+            0,
+            "the build adds no entry"
+        );
+        assert_eq!(store.section_renders(), 9);
+
+        // A warm rerun is all cache hits: hits insert nothing, so the
+        // next save renders nothing.
+        assimilate_incremental(parser.as_ref(), pages, &budget, &mut store).unwrap();
+        assert_eq!(renders_of(&store, save("warm")), 0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn every_insert_path_clears_its_sections_memo() {
+        let (m, mut store) = populated_store(20);
+        let parser = parser_for("helix").unwrap();
+        let budget = IngestBudget::default();
+        let dir = std::env::temp_dir().join("nassim-artifact-memo-inserts");
+        std::fs::create_dir_all(&dir).unwrap();
+        check_memoized_save(&store, &dir, "populated");
+
+        let mut pages: Vec<(String, String)> = m
+            .pages
+            .iter()
+            .map(|p| (p.url.clone(), p.html.clone()))
+            .collect();
+        edit_one_cli(&mut pages);
+        let refs: Vec<(&str, &str)> = pages
+            .iter()
+            .map(|(u, h)| (u.as_str(), h.as_str()))
+            .collect();
+
+        // After each insert path, exactly the sections in `grown` have
+        // gained entries, and the next save renders just those and
+        // persists them.
+        let mut lens = section_lens(&store);
+        let mut step = |store: &mut ArtifactStore, tag: &str, grown: &[&str]| {
+            let after = section_lens(store);
+            for (i, name) in SECTIONS.iter().enumerate() {
+                if grown.contains(name) {
+                    assert!(after[i] > lens[i], "{tag}: `{name}` gained no entry");
+                } else {
+                    assert_eq!(after[i], lens[i], "{tag}: `{name}` changed");
+                }
+            }
+            lens = after;
+            let renders = renders_of(store, |s| check_memoized_save(s, &dir, tag));
+            assert_eq!(renders, grown.len(), "{tag}: rendered an unchanged section");
+        };
+
+        let (parse, page_keys) = store.parse_stage(parser.as_ref(), refs, &budget).unwrap();
+        step(&mut store, "parse", &["pages"]);
+        store.syntax_stage(&parse);
+        step(&mut store, "syntax", &["syntax"]);
+        store.hierarchy_stage(&parse, &page_keys);
+        step(&mut store, "hierarchy", &["graphs", "evidence"]);
+        let udm = test_udm(2, 7);
+        let mut mapper = store.mapper_dl(
+            &udm,
+            Arc::new(ByteEmbedder { offset: 0.0 }),
+            "test-embedder",
+        );
+        step(&mut store, "mapper_dl", &["embeddings"]);
+        mapper.set_retrieval_mode_cached(RetrievalMode::Quantized, &mut store.ann);
+        step(&mut store, "retrieval_mode", &["ann"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The memo lives inside each map, so a `pub` cache field replaced
+    /// wholesale — even by one of the same length — brings its own memo
+    /// and the store can never persist the old map's text.
+    #[test]
+    fn replacing_a_cache_field_wholesale_never_persists_stale_text() {
+        let (_m, mut store) = populated_store(21);
+        let dir = std::env::temp_dir().join("nassim-artifact-memo-replace");
+        std::fs::create_dir_all(&dir).unwrap();
+        check_memoized_save(&store, &dir, "before");
+
+        // Same UDM, another embedder: as many embeddings and indexes,
+        // under other keys and with other contents.
+        let mut other = ArtifactStore::new();
+        other.mapper_dl_sublinear(
+            &test_udm(1, 5),
+            Arc::new(ByteEmbedder { offset: 1.0 }),
+            "offset-embedder",
+            RetrievalMode::Quantized,
+        );
+        assert_eq!(other.embeddings.len(), store.embeddings.len());
+        assert_eq!(other.ann.len(), store.ann.len());
+
+        // A fresh map (memo empty) is rendered on the next save.
+        store.ann = std::mem::take(&mut other.ann);
+        assert_eq!(
+            renders_of(&store, |s| check_memoized_save(s, &dir, "fresh")),
+            1
+        );
+
+        // A cloned map carries the text rendered for the same entries.
+        check_memoized_save(&other, &dir, "other");
+        store.embeddings = other.embeddings.clone();
+        assert_eq!(
+            renders_of(&store, |s| check_memoized_save(s, &dir, "clone")),
+            0
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,10 +19,12 @@
 
 pub mod format;
 pub mod hash;
+pub mod memo;
 pub mod udm;
 pub mod vdm;
 
 pub use format::{CorpusCheck, CorpusEntry, CorpusViolation, ParaDef};
 pub use hash::{fnv1a_bytes, fnv1a_str, Fnv1a};
+pub use memo::{RenderedSection, SectionMemo};
 pub use udm::{Udm, UdmAttribute, UdmNodeId};
 pub use vdm::{Vdm, VdmNode, VdmNodeId};

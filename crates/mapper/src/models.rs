@@ -16,7 +16,7 @@
 //!   the paper's §7.3 composite would implement.
 
 use crate::context::{udm_leaf_context, Context};
-use nassim_corpus::{Fnv1a, Udm, UdmNodeId};
+use nassim_corpus::{Fnv1a, RenderedSection, SectionMemo, Udm, UdmNodeId};
 use nassim_nlp::tensor::cosine;
 use nassim_nlp::topk::TopK;
 use nassim_nlp::{BatchEncoder, Encoder, TfIdf, Vocab};
@@ -455,6 +455,8 @@ pub fn leaf_embedding_key(embedder_id: &str, ctx: &Context) -> u64 {
 #[derive(Clone, Default)]
 pub struct EmbeddingCache {
     entries: HashMap<u64, Arc<NormalizedEmbedding>>,
+    /// The persisted section's text, cleared on every insert.
+    memo: SectionMemo,
     pub hits: usize,
     pub misses: usize,
 }
@@ -470,6 +472,20 @@ impl EmbeddingCache {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    fn insert(&mut self, key: u64, embedding: Arc<NormalizedEmbedding>) {
+        self.entries.insert(key, embedding);
+        self.memo.clear();
+    }
+
+    /// The persisted section: the [`Serialize`] form rendered to text by
+    /// `render`, memoized until the next insert.
+    pub fn rendered_section<E>(
+        &self,
+        render: impl FnOnce(&Value) -> Result<String, E>,
+    ) -> Result<Arc<RenderedSection>, E> {
+        self.memo.get_or_render(|| render(&self.to_value()))
     }
 }
 
@@ -499,9 +515,7 @@ impl Deserialize for EmbeddingCache {
             let k = u64::from_str_radix(key, 16)
                 .map_err(|e| DeError::new(format!("EmbeddingCache: bad key `{key}`: {e}")))?;
             let bit_rows: Vec<Vec<u32>> = Deserialize::from_value(val)?;
-            cache
-                .entries
-                .insert(k, Arc::new(NormalizedEmbedding::from_bit_rows(&bit_rows)));
+            cache.insert(k, Arc::new(NormalizedEmbedding::from_bit_rows(&bit_rows)));
         }
         Ok(cache)
     }
@@ -537,9 +551,7 @@ impl EmbeddingCache {
                     continue;
                 }
             };
-            cache
-                .entries
-                .insert(k, Arc::new(NormalizedEmbedding::from_bit_rows(&bit_rows)));
+            cache.insert(k, Arc::new(NormalizedEmbedding::from_bit_rows(&bit_rows)));
         }
         (cache, errors)
     }
@@ -575,7 +587,7 @@ fn embed_leaves_cached(
         let ctx_refs: Vec<&Context> = missing.iter().map(|&i| &leaf_contexts[i]).collect();
         let embedded = embed_contexts(embedder, &ctx_refs);
         for (&i, e) in missing.iter().zip(embedded) {
-            cache.entries.insert(keys[i], Arc::new(e));
+            cache.insert(keys[i], Arc::new(e));
         }
     }
     keys.iter()

@@ -38,7 +38,7 @@
 //! mixed row counts/widths) keep the mode at `Exact`.
 
 use crate::models::{context_similarity_normalized, Mapper, NormalizedEmbedding};
-use nassim_corpus::Fnv1a;
+use nassim_corpus::{Fnv1a, RenderedSection, SectionMemo};
 use nassim_nlp::quant::{QuantizedQuery, Quantizer};
 use nassim_nlp::topk::TopK;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -460,6 +460,8 @@ impl Mapper {
 #[derive(Clone, Default)]
 pub struct AnnCache {
     entries: HashMap<u64, Arc<SublinearIndex>>,
+    /// The persisted section's text, cleared on every insert.
+    memo: SectionMemo,
     pub hits: usize,
     pub misses: usize,
 }
@@ -491,8 +493,22 @@ impl AnnCache {
         }
         self.misses += 1;
         let idx = Arc::new(SublinearIndex::from_pooled(pooled, dim, ku, hash));
-        self.entries.insert(hash, idx.clone());
+        self.insert(hash, idx.clone());
         Some(idx)
+    }
+
+    fn insert(&mut self, key: u64, index: Arc<SublinearIndex>) {
+        self.entries.insert(key, index);
+        self.memo.clear();
+    }
+
+    /// The persisted section: the [`Serialize`] form rendered to text by
+    /// `render`, memoized until the next insert.
+    pub fn rendered_section<E>(
+        &self,
+        render: impl FnOnce(&Value) -> Result<String, E>,
+    ) -> Result<Arc<RenderedSection>, E> {
+        self.memo.get_or_render(|| render(&self.to_value()))
     }
 }
 
@@ -529,7 +545,7 @@ impl Deserialize for AnnCache {
                     idx.corpus_hash
                 )));
             }
-            cache.entries.insert(k, Arc::new(idx));
+            cache.insert(k, Arc::new(idx));
         }
         Ok(cache)
     }
@@ -557,7 +573,7 @@ impl AnnCache {
             };
             match index_from_value(val) {
                 Ok(idx) if idx.corpus_hash == k => {
-                    cache.entries.insert(k, Arc::new(idx));
+                    cache.insert(k, Arc::new(idx));
                 }
                 Ok(idx) => errors.push(format!(
                     "AnnCache: entry `{key}` carries corpus hash {:016x}",

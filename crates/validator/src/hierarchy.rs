@@ -21,7 +21,7 @@
 //! authoritative votes.
 
 use nassim_cgm::{matching::is_cli_match, CliGraph};
-use nassim_corpus::Fnv1a;
+use nassim_corpus::{Fnv1a, RenderedSection, SectionMemo};
 use nassim_parser::ParsedPage;
 use nassim_syntax::parse_template;
 use serde::{DeError, Value};
@@ -207,6 +207,8 @@ pub fn compile_page_graphs(page: &ParsedPage) -> PageGraphs {
 #[derive(Clone, Default)]
 pub struct GraphCache {
     entries: HashMap<u64, Arc<PageGraphs>>,
+    /// The persisted section's text, cleared on every insert.
+    memo: SectionMemo,
     pub hits: usize,
     pub misses: usize,
 }
@@ -223,6 +225,20 @@ impl GraphCache {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    fn insert(&mut self, key: u64, graphs: Arc<PageGraphs>) {
+        self.entries.insert(key, graphs);
+        self.memo.clear();
+    }
+
+    /// The persisted section: [`GraphCache::to_value`] rendered to text
+    /// by `render`, memoized until the next insert.
+    pub fn rendered_section<E>(
+        &self,
+        render: impl FnOnce(&Value) -> Result<String, E>,
+    ) -> Result<Arc<RenderedSection>, E> {
+        self.memo.get_or_render(|| render(&self.to_value()))
     }
 
     /// Serialize for the artifact store: each entry is its CLI template
@@ -282,7 +298,7 @@ impl GraphCache {
         let mut cache = GraphCache::new();
         for (key, val) in entries {
             let (k, graphs) = GraphCache::entry_from_value(key, val)?;
-            cache.entries.insert(k, Arc::new(graphs));
+            cache.insert(k, Arc::new(graphs));
         }
         Ok(cache)
     }
@@ -299,7 +315,7 @@ impl GraphCache {
         for (key, val) in entries {
             match GraphCache::entry_from_value(key, val) {
                 Ok((k, graphs)) => {
-                    cache.entries.insert(k, Arc::new(graphs));
+                    cache.insert(k, Arc::new(graphs));
                 }
                 Err(e) => errors.push(e.0),
             }
@@ -365,7 +381,7 @@ impl CorpusGraphs {
                 Arc::new(compile_page_graphs(&pages[i]))
             });
         for (&i, artifact) in missing.iter().zip(compiled) {
-            cache.entries.insert(keys[i], artifact.clone());
+            cache.insert(keys[i], artifact.clone());
             per_page[i] = Some(artifact);
         }
         let per_page = per_page
@@ -503,6 +519,8 @@ fn evidence_key(fingerprint: u64, pi: usize, page: &ParsedPage) -> u64 {
 #[derive(Default)]
 pub struct EvidenceCache {
     entries: HashMap<u64, Arc<PageEvidence>>,
+    /// The persisted section's text, cleared on every insert.
+    memo: SectionMemo,
     pub hits: usize,
     pub misses: usize,
 }
@@ -612,6 +630,20 @@ impl EvidenceCache {
         self.entries.is_empty()
     }
 
+    fn insert(&mut self, key: u64, evidence: Arc<PageEvidence>) {
+        self.entries.insert(key, evidence);
+        self.memo.clear();
+    }
+
+    /// The persisted section: [`EvidenceCache::to_value`] rendered to
+    /// text by `render`, memoized until the next insert.
+    pub fn rendered_section<E>(
+        &self,
+        render: impl FnOnce(&Value) -> Result<String, E>,
+    ) -> Result<Arc<RenderedSection>, E> {
+        self.memo.get_or_render(|| render(&self.to_value()))
+    }
+
     /// Serialize for the artifact store: fixed-width hex keys, sorted
     /// for stable bytes. Keys embed the whole-corpus template
     /// fingerprint (see [`evidence_key`]), so reloaded evidence can
@@ -641,7 +673,7 @@ impl EvidenceCache {
                 .map_err(|e| DeError::new(format!("evidence key `{key}` is not hex: {e}")))?;
             let ev = PageEvidence::from_value(val)
                 .map_err(|e| DeError::new(format!("evidence entry `{key}`: {}", e.0)))?;
-            cache.entries.insert(k, Arc::new(ev));
+            cache.insert(k, Arc::new(ev));
         }
         Ok(cache)
     }
@@ -665,7 +697,7 @@ impl EvidenceCache {
             };
             match PageEvidence::from_value(val) {
                 Ok(ev) => {
-                    cache.entries.insert(k, Arc::new(ev));
+                    cache.insert(k, Arc::new(ev));
                 }
                 Err(e) => errors.push(format!("evidence entry `{key}`: {}", e.0)),
             }
@@ -724,7 +756,7 @@ pub fn derive_hierarchy_cached(
             Arc::new(collect_page_evidence(i, &pages[i], &corpus))
         });
     for (&i, ev) in missing.iter().zip(fresh) {
-        evidence.entries.insert(keys[i], ev.clone());
+        evidence.insert(keys[i], ev.clone());
         per_page[i] = Some(ev);
     }
     let per_page: Vec<Arc<PageEvidence>> = per_page
