@@ -21,7 +21,7 @@ use nassim_nlp::tensor::cosine;
 use nassim_nlp::topk::TopK;
 use nassim_nlp::{BatchEncoder, Encoder, TfIdf, Vocab};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -368,34 +368,35 @@ pub fn context_similarity(
 /// both in [0,1]-ish ranges so a fixed blend is meaningful).
 pub const IR_BLEND: f32 = 0.35;
 
-/// Which ranking strategy a [`Mapper`] uses. Embedders are shared, not
-/// borrowed, so mappers are self-contained values.
+/// Which ranking strategy a [`Mapper`] uses. Embedders and fitted TF-IDF
+/// models are shared, not borrowed, so mappers are self-contained
+/// values. Only the strategies that query TF-IDF own (and so pay to fit)
+/// one.
 #[derive(Clone)]
 enum Strategy {
-    Ir,
+    Ir {
+        ir: Arc<TfIdf>,
+    },
     Dl {
         embedder: Arc<dyn Embedder>,
     },
     IrDl {
+        ir: Arc<TfIdf>,
         embedder: Arc<dyn Embedder>,
         shortlist: usize,
     },
 }
 
 /// The immutable, shareable core of a [`Mapper`]: the UDM, its leaf
-/// contexts, the fitted TF-IDF model and the pre-normalized leaf context
-/// embeddings. Built once per (UDM, embedder) pair and shared by every
-/// clone of the mapper — cloning a mapper is two `Arc` bumps, never a
-/// re-embedding.
+/// contexts and the pre-normalized leaf context embeddings. Built once
+/// per (UDM, embedder) pair and shared by every clone of the mapper —
+/// cloning a mapper is a few `Arc` bumps, never a re-embedding.
 pub struct MapperIndex {
     udm: Udm,
     pub(crate) leaves: Vec<UdmNodeId>,
     leaf_contexts: Vec<Context>,
     /// leaf id → index into `leaves`/`leaf_contexts` (O(1) lookups).
     leaf_index: HashMap<UdmNodeId, usize>,
-    /// TF-IDF fitted on the joined leaf contexts (all strategies keep it;
-    /// IR-based ones query it).
-    ir: TfIdf,
     /// Pre-computed, pre-normalized leaf context embeddings (DL
     /// strategies): the norms are paid once here, never per query. Each
     /// embedding sits behind an `Arc` so the artifact store's embedding
@@ -404,6 +405,33 @@ pub struct MapperIndex {
 }
 
 impl MapperIndex {
+    /// Extract every leaf's context and embed them through `embed` (which
+    /// returns one embedding per context, or none at all for pure IR).
+    fn build(
+        udm: &Udm,
+        embed: impl FnOnce(&[Context]) -> Vec<Arc<NormalizedEmbedding>>,
+    ) -> MapperIndex {
+        let leaves = udm.leaves();
+        let leaf_contexts: Vec<Context> =
+            leaves.iter().map(|&l| udm_leaf_context(udm, l)).collect();
+        let leaf_index = leaves.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+        let leaf_embeddings = embed(&leaf_contexts);
+        MapperIndex {
+            udm: udm.clone(),
+            leaves,
+            leaf_contexts,
+            leaf_index,
+            leaf_embeddings,
+        }
+    }
+
+    /// TF-IDF fitted on the joined leaf contexts, for the strategies that
+    /// query it.
+    fn fit_tfidf(&self) -> Arc<TfIdf> {
+        let joined: Vec<String> = self.leaf_contexts.iter().map(Context::joined).collect();
+        Arc::new(TfIdf::fit(joined.iter().map(String::as_str)))
+    }
+
     /// Number of candidate leaves.
     pub fn candidate_count(&self) -> usize {
         self.leaves.len()
@@ -557,9 +585,24 @@ impl EmbeddingCache {
     }
 }
 
+/// Embed every leaf context as **one** batch: embedding the corpus is the
+/// expensive part of construction, and one batch shares parameter
+/// preparation, memoises repeats and fans plain embedders out in chunks.
+fn embed_leaves(
+    embedder: &dyn Embedder,
+    leaf_contexts: &[Context],
+) -> Vec<Arc<NormalizedEmbedding>> {
+    let ctx_refs: Vec<&Context> = leaf_contexts.iter().collect();
+    embed_contexts(embedder, &ctx_refs)
+        .into_iter()
+        .map(Arc::new)
+        .collect()
+}
+
 /// Embed `leaf_contexts` through `cache`: hits are `Arc` bumps, misses
-/// are embedded in **one** [`embed_contexts`] batch and inserted. The
-/// output vector is position-aligned with `leaf_contexts`.
+/// are embedded in **one** [`embed_contexts`] batch (each distinct key
+/// once, in first-occurrence order) and inserted. The output vector is
+/// position-aligned with `leaf_contexts`.
 fn embed_leaves_cached(
     embedder: &dyn Embedder,
     embedder_id: &str,
@@ -571,6 +614,7 @@ fn embed_leaves_cached(
         .map(|c| leaf_embedding_key(embedder_id, c))
         .collect();
     let mut missing: Vec<usize> = Vec::new();
+    let mut queued: HashSet<u64> = HashSet::new();
     for (i, k) in keys.iter().enumerate() {
         if cache.entries.contains_key(k) {
             cache.hits += 1;
@@ -578,7 +622,7 @@ fn embed_leaves_cached(
             cache.misses += 1;
             // Duplicate contexts within one build share a key; embed the
             // first occurrence only.
-            if missing.iter().all(|&j| keys[j] != *k) {
+            if queued.insert(*k) {
                 missing.push(i);
             }
         }
@@ -604,55 +648,6 @@ fn embed_leaves_cached(
 }
 
 impl Mapper {
-    fn base(udm: &Udm, strategy: Strategy) -> Mapper {
-        let index = Mapper::build_index(udm, &strategy, None);
-        Mapper::assemble(index, strategy)
-    }
-
-    /// Build the shared index, embedding leaf contexts through `cache`
-    /// when one is supplied (cache hits skip the embedder entirely; all
-    /// misses go through **one** batch, so the computed embeddings are
-    /// bit-identical to an uncached build).
-    fn build_index(
-        udm: &Udm,
-        strategy: &Strategy,
-        cache: Option<(&str, &mut EmbeddingCache)>,
-    ) -> MapperIndex {
-        let leaves = udm.leaves();
-        let leaf_contexts: Vec<Context> =
-            leaves.iter().map(|&l| udm_leaf_context(udm, l)).collect();
-        let leaf_index = leaves.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let joined: Vec<String> = leaf_contexts.iter().map(Context::joined).collect();
-        let ir = TfIdf::fit(joined.iter().map(String::as_str));
-        let leaf_embeddings = match strategy {
-            Strategy::Ir => Vec::new(),
-            // Embedding every leaf context is the expensive part of
-            // construction — hand the whole corpus to the embedder as one
-            // batch (shared parameter prep, memoised repeats, chunked
-            // fan-out for plain embedders).
-            Strategy::Dl { embedder } | Strategy::IrDl { embedder, .. } => match cache {
-                None => {
-                    let ctx_refs: Vec<&Context> = leaf_contexts.iter().collect();
-                    embed_contexts(embedder.as_ref(), &ctx_refs)
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect()
-                }
-                Some((embedder_id, cache)) => {
-                    embed_leaves_cached(embedder.as_ref(), embedder_id, &leaf_contexts, cache)
-                }
-            },
-        };
-        MapperIndex {
-            udm: udm.clone(),
-            leaves,
-            leaf_contexts,
-            leaf_index,
-            ir,
-            leaf_embeddings,
-        }
-    }
-
     fn assemble(index: MapperIndex, strategy: Strategy) -> Mapper {
         let shards = leaf_shards(index.leaves.len());
         let mut mapper = Mapper {
@@ -697,12 +692,15 @@ impl Mapper {
 
     /// Pure information-retrieval mapper (TF-IDF).
     pub fn ir(udm: &Udm) -> Mapper {
-        Mapper::base(udm, Strategy::Ir)
+        let index = MapperIndex::build(udm, |_| Vec::new());
+        let ir = index.fit_tfidf();
+        Mapper::assemble(index, Strategy::Ir { ir })
     }
 
     /// Pure DL mapper over `embedder`.
     pub fn dl(udm: &Udm, embedder: Arc<dyn Embedder>) -> Mapper {
-        Mapper::base(udm, Strategy::Dl { embedder })
+        let index = MapperIndex::build(udm, |ctxs| embed_leaves(embedder.as_ref(), ctxs));
+        Mapper::assemble(index, Strategy::Dl { embedder })
     }
 
     /// [`Mapper::dl`] through an [`EmbeddingCache`]: leaf contexts whose
@@ -719,16 +717,24 @@ impl Mapper {
         embedder_id: &str,
         cache: &mut EmbeddingCache,
     ) -> Mapper {
-        let strategy = Strategy::Dl {
-            embedder: embedder.clone(),
-        };
-        let index = Mapper::build_index(udm, &strategy, Some((embedder_id, cache)));
-        Mapper::assemble(index, strategy)
+        let index = MapperIndex::build(udm, |ctxs| {
+            embed_leaves_cached(embedder.as_ref(), embedder_id, ctxs, cache)
+        });
+        Mapper::assemble(index, Strategy::Dl { embedder })
     }
 
     /// IR shortlist (paper: top-50) re-ranked by `embedder`.
     pub fn ir_dl(udm: &Udm, embedder: Arc<dyn Embedder>, shortlist: usize) -> Mapper {
-        Mapper::base(udm, Strategy::IrDl { embedder, shortlist })
+        let index = MapperIndex::build(udm, |ctxs| embed_leaves(embedder.as_ref(), ctxs));
+        let ir = index.fit_tfidf();
+        Mapper::assemble(
+            index,
+            Strategy::IrDl {
+                ir,
+                embedder,
+                shortlist,
+            },
+        )
     }
 
     /// The UDM this mapper ranks over.
@@ -736,7 +742,7 @@ impl Mapper {
         &self.index.udm
     }
 
-    /// The shared index: UDM, leaf contexts, TF-IDF and embeddings.
+    /// The shared index: UDM, leaf contexts and embeddings.
     pub fn index(&self) -> &Arc<MapperIndex> {
         &self.index
     }
@@ -757,7 +763,7 @@ impl Mapper {
     /// The embedder behind DL-backed strategies, `None` for pure IR.
     fn embedder(&self) -> Option<&dyn Embedder> {
         match &self.strategy {
-            Strategy::Ir => None,
+            Strategy::Ir { .. } => None,
             Strategy::Dl { embedder } => Some(embedder.as_ref()),
             Strategy::IrDl { embedder, .. } => Some(embedder.as_ref()),
         }
@@ -830,13 +836,13 @@ impl Mapper {
             }
         };
         let scored: Vec<(usize, f32)> = match &self.strategy {
-            Strategy::Ir => self.index.ir.top_k(joined, k),
+            Strategy::Ir { ir } => ir.top_k(joined, k),
             // `retrieve` dispatches on the retrieval mode; `Exact` (the
             // default) is precisely `dl_scan`.
             Strategy::Dl { .. } => self.retrieve(ev, k),
-            Strategy::IrDl { shortlist, .. } => {
+            Strategy::IrDl { ir, shortlist, .. } => {
                 let mut top = TopK::new(k);
-                for (i, ir_score) in self.index.ir.top_k(joined, *shortlist) {
+                for (i, ir_score) in ir.top_k(joined, *shortlist) {
                     let dl = context_similarity_normalized(
                         ev,
                         &self.index.leaf_embeddings[i],
@@ -1405,6 +1411,77 @@ mod tests {
             assert_eq!(x.0, y.0);
             assert_eq!(x.1.to_bits(), y.1.to_bits());
         }
+    }
+
+    /// Records every batch it is asked to embed, in order.
+    #[derive(Default)]
+    struct CountingEmbedder {
+        batches: std::sync::Mutex<Vec<Vec<String>>>,
+    }
+    impl Embedder for CountingEmbedder {
+        fn embed(&self, text: &str) -> Vec<f32> {
+            HashEmbedder.embed(text)
+        }
+
+        fn embed_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
+            let batch = texts.iter().map(|t| t.to_string()).collect();
+            self.batches.lock().unwrap().push(batch);
+            texts.iter().map(|t| self.embed(t)).collect()
+        }
+    }
+
+    /// Six leaves under one parent, with only three distinct contexts:
+    /// `a b a c b a`. Leaves with equal name, description and type share
+    /// a path, so their contexts (and cache keys) are equal.
+    fn repeating_udm(extra: &[&str]) -> Udm {
+        let mut udm = Udm::new("u");
+        let p = udm.ensure_path(&["sys", "cfg"]);
+        for name in ["a", "b", "a", "c", "b", "a"].iter().chain(extra) {
+            udm.add(p, *name, format!("the {name} attribute"), "uint32");
+        }
+        udm
+    }
+
+    #[test]
+    fn cache_misses_embed_each_distinct_context_once_in_first_occurrence_order() {
+        let texts_of = |udm: &Udm, names: &[&str]| -> Vec<String> {
+            names
+                .iter()
+                .map(|n| {
+                    let leaf = udm.leaves().into_iter().find(|&l| udm.node(l).name == *n);
+                    udm_leaf_context(udm, leaf.unwrap())
+                })
+                .flat_map(|c| c.sequences)
+                .collect()
+        };
+        let udm = repeating_udm(&[]);
+        let leaves = udm.leaves().len();
+        let embedder = Arc::new(CountingEmbedder::default());
+        let mut cache = EmbeddingCache::new();
+
+        // Cold: six misses, three distinct contexts embedded in one batch.
+        Mapper::dl_cached(&udm, embedder.clone(), "count", &mut cache);
+        assert_eq!((cache.hits, cache.misses), (0, leaves));
+        assert_eq!(cache.len(), 3);
+        assert_eq!(
+            *embedder.batches.lock().unwrap(),
+            vec![texts_of(&udm, &["a", "b", "c"])]
+        );
+
+        // Warm: six hits, the embedder is not called.
+        Mapper::dl_cached(&udm, embedder.clone(), "count", &mut cache);
+        assert_eq!((cache.hits, cache.misses), (leaves, leaves));
+        assert_eq!(embedder.batches.lock().unwrap().len(), 1);
+
+        // Partly warm: the two new `d` leaves share one embedding.
+        let grown = repeating_udm(&["d", "a", "d"]);
+        Mapper::dl_cached(&grown, embedder.clone(), "count", &mut cache);
+        assert_eq!(cache.hits + cache.misses, 2 * leaves + grown.leaves().len());
+        assert_eq!(cache.misses, leaves + 2);
+        assert_eq!(
+            embedder.batches.lock().unwrap().last(),
+            Some(&texts_of(&grown, &["d"]))
+        );
     }
 
     /// Owned mappers are values: clones share the index and embedder and

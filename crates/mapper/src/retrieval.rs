@@ -194,6 +194,13 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The neutral element `Iterator::sum` folds `f32`s from on this
+/// toolchain. A dot that starts here and adds its products in element
+/// order is bit-identical to [`dot`]: `-0.0 + x` is `x` for every `x`,
+/// signed zeros included, and Rust never contracts `a * b + c` into a
+/// fused multiply-add.
+const SUM_ZERO: f32 = -0.0;
+
 impl SublinearIndex {
     /// Build the quantized corpus (and, for large corpora, the IVF layer)
     /// over the mapper's leaf embeddings. `None` when the corpus cannot
@@ -270,9 +277,9 @@ impl SublinearIndex {
 impl IvfIndex {
     /// Deterministic spherical k-means over the pooled rows. Seeding is
     /// evenly-spaced leaf picks (pure function of `n`/`nlist`); each Lloyd
-    /// iteration assigns points in parallel (pure per point) and
-    /// accumulates centroids serially in leaf order, so the result is
-    /// independent of worker count.
+    /// iteration assigns points in parallel (pure per point, see
+    /// [`assign`]) and accumulates centroids serially in leaf order, so
+    /// the result is independent of worker count.
     fn build(pooled: &[Vec<f32>], dim: usize) -> Option<IvfIndex> {
         let n = pooled.len();
         if n < IVF_MIN_LEAVES {
@@ -288,9 +295,7 @@ impl IvfIndex {
             normalize(slot);
         }
         for _ in 0..LLOYD_ITERS {
-            let assign = nassim_exec::par_map_chunked(pooled, BUILD_MIN_CHUNK, |row| {
-                nearest_centroid(&centroids, dim, nlist, row)
-            });
+            let assign = assign(pooled, &centroids, dim, nlist);
             // Serial accumulation in leaf order: deterministic means.
             let mut sums = vec![0.0f64; nlist * dim];
             let mut counts = vec![0usize; nlist];
@@ -313,9 +318,7 @@ impl IvfIndex {
             }
         }
         // Final assignment against the converged centroids.
-        let assign = nassim_exec::par_map_chunked(pooled, BUILD_MIN_CHUNK, |row| {
-            nearest_centroid(&centroids, dim, nlist, row)
-        });
+        let assign = assign(pooled, &centroids, dim, nlist);
         let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
             clusters[c as usize].push(i as u32);
@@ -324,12 +327,57 @@ impl IvfIndex {
     }
 }
 
-/// Highest-dot centroid, ties to the lower centroid index.
-fn nearest_centroid(centroids: &[f32], dim: usize, nlist: usize, row: &[f32]) -> u32 {
+/// The nearest (highest-dot) centroid of every row.
+///
+/// Dim-major: the `nlist × dim` centroids are transposed once per call,
+/// then each row's `nlist` dots accumulate together, one element at a
+/// time ([`centroid_dots`]). The inner loop runs across centroids, so it
+/// vectorises, where one [`dot`] per centroid waits on each add in turn.
+/// Every dot still adds its products in element order from
+/// [`SUM_ZERO`], so each equals [`dot`] bit for bit and the assignment
+/// is the scalar one.
+fn assign(pooled: &[Vec<f32>], centroids: &[f32], dim: usize, nlist: usize) -> Vec<u32> {
+    let transposed = transpose(centroids, dim, nlist);
+    nassim_exec::par_map_with(
+        pooled,
+        BUILD_MIN_CHUNK,
+        || vec![0.0f32; nlist],
+        |dots, _, row| {
+            centroid_dots(&transposed, nlist, row, dots);
+            nearest(dots)
+        },
+    )
+}
+
+/// `nlist × dim` row-major centroids as `dim × nlist`: element `d` of
+/// every centroid, side by side.
+fn transpose(centroids: &[f32], dim: usize, nlist: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; dim * nlist];
+    for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
+        for (d, &x) in centroid.iter().enumerate() {
+            t[d * nlist + c] = x;
+        }
+    }
+    t
+}
+
+/// `dots[c]` = the dot of `row` with centroid `c`, from the
+/// [`transpose`]d centroids.
+fn centroid_dots(transposed: &[f32], nlist: usize, row: &[f32], dots: &mut [f32]) {
+    dots.fill(SUM_ZERO);
+    for (&x, column) in row.iter().zip(transposed.chunks_exact(nlist)) {
+        for (acc, &c) in dots.iter_mut().zip(column) {
+            *acc += x * c;
+        }
+    }
+}
+
+/// Index of the highest dot, ties to the lower centroid index; a NaN
+/// never wins.
+fn nearest(dots: &[f32]) -> u32 {
     let mut best = 0u32;
     let mut best_dot = f32::NEG_INFINITY;
-    for c in 0..nlist {
-        let d = dot(row, &centroids[c * dim..(c + 1) * dim]);
+    for (c, &d) in dots.iter().enumerate() {
         if d > best_dot {
             best_dot = d;
             best = c as u32;
@@ -696,6 +744,10 @@ mod tests {
     use crate::context::Context;
     use crate::models::{ContextEmbedding, Embedder};
     use nassim_corpus::Udm;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     struct HashEmbedder;
     impl Embedder for HashEmbedder {
@@ -885,6 +937,133 @@ mod tests {
         let (salvaged, errors) = AnnCache::from_value_lossy(&v);
         assert_eq!(salvaged.len(), 1);
         assert_eq!(errors.len(), 1);
+    }
+
+    /// The scalar assignment [`assign`] replaced, kept as its oracle:
+    /// one [`dot`] per centroid, ties to the lower centroid index.
+    fn nearest_centroid(centroids: &[f32], dim: usize, nlist: usize, row: &[f32]) -> u32 {
+        let mut best = 0u32;
+        let mut best_dot = f32::NEG_INFINITY;
+        for c in 0..nlist {
+            let d = dot(row, &centroids[c * dim..(c + 1) * dim]);
+            if d > best_dot {
+                best_dot = d;
+                best = c as u32;
+            }
+        }
+        best
+    }
+
+    /// The dim-major kernel against the scalar oracle on every row: each
+    /// centroid's dot bit for bit, then the chosen centroid, row by row
+    /// and through the parallel [`assign`].
+    fn check_against_scalar(
+        pooled: &[Vec<f32>],
+        centroids: &[f32],
+        dim: usize,
+        nlist: usize,
+    ) -> Result<(), TestCaseError> {
+        let transposed = transpose(centroids, dim, nlist);
+        let mut dots = vec![0.0f32; nlist];
+        for (i, row) in pooled.iter().enumerate() {
+            centroid_dots(&transposed, nlist, row, &mut dots);
+            for (c, d) in dots.iter().enumerate() {
+                let want = dot(row, &centroids[c * dim..(c + 1) * dim]);
+                prop_assert_eq!(d.to_bits(), want.to_bits(), "row {} centroid {}", i, c);
+            }
+            prop_assert_eq!(nearest(&dots), nearest_centroid(centroids, dim, nlist, row));
+        }
+        let want: Vec<u32> = pooled
+            .iter()
+            .map(|row| nearest_centroid(centroids, dim, nlist, row))
+            .collect();
+        prop_assert_eq!(assign(pooled, centroids, dim, nlist), want);
+        Ok(())
+    }
+
+    /// A small signed value; one draw in four is an exact `0.0` or
+    /// `-0.0`, so products and sums land on signed zeros.
+    fn value(rng: &mut StdRng) -> f32 {
+        match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dim_major_assignment_matches_the_scalar_oracle(
+            dim in 1usize..12,
+            nlist in 1usize..40,
+            rows in 1usize..40,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut centroids: Vec<f32> = (0..nlist * dim).map(|_| value(&mut rng)).collect();
+            // Duplicate some centroids: whenever one wins, the tie must
+            // go to the lower index.
+            for c in 1..nlist {
+                if rng.gen_bool(0.3) {
+                    let src = rng.gen_range(0..c);
+                    centroids.copy_within(src * dim..(src + 1) * dim, c * dim);
+                }
+            }
+            let pooled: Vec<Vec<f32>> = (0..rows)
+                .map(|i| match i % 5 {
+                    // All-zero rows, with and without negative zeros.
+                    0 => vec![0.0; dim],
+                    1 => (0..dim).map(|d| if d % 2 == 0 { -0.0 } else { 0.0 }).collect(),
+                    // A row equal to some centroid.
+                    2 => {
+                        let c = rng.gen_range(0..nlist);
+                        centroids[c * dim..(c + 1) * dim].to_vec()
+                    }
+                    _ => (0..dim).map(|_| value(&mut rng)).collect(),
+                })
+                .collect();
+            check_against_scalar(&pooled, &centroids, dim, nlist)?;
+        }
+    }
+
+    #[test]
+    fn sum_zero_is_the_toolchains_f32_sum_identity() {
+        let empty: f32 = std::iter::empty::<f32>().sum();
+        assert_eq!(empty.to_bits(), SUM_ZERO.to_bits());
+        // The case a `+0.0` start would get wrong: a lone `-0.0` product.
+        assert_eq!(dot(&[-1.0], &[0.0]).to_bits(), (-0.0f32).to_bits());
+        let mut dots = [0.0f32];
+        centroid_dots(&[0.0], 1, &[-1.0], &mut dots);
+        assert_eq!(dots[0].to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn assignment_edge_cases_match_the_scalar_oracle() {
+        let check = |pooled: &[Vec<f32>], centroids: &[f32], dim, nlist| {
+            if let Err(TestCaseError::Fail(msg)) =
+                check_against_scalar(pooled, centroids, dim, nlist)
+            {
+                panic!("{msg}");
+            }
+        };
+        // dim = 1, nlist not a multiple of any vector width.
+        let centroids: Vec<f32> = (0..13).map(|c| c as f32 - 6.0).collect();
+        check(
+            &[vec![1.0], vec![-1.0], vec![0.0], vec![-0.0]],
+            &centroids,
+            1,
+            13,
+        );
+        // Every centroid identical: every row goes to centroid 0.
+        let centroids = [0.5f32, -0.25, 1.0].repeat(7);
+        let rows = vec![vec![1.0, 2.0, 3.0], vec![-1.0, 0.0, 0.5], vec![0.0; 3]];
+        check(&rows, &centroids, 3, 7);
+        assert_eq!(assign(&rows, &centroids, 3, 7), vec![0, 0, 0]);
+        // A NaN centroid never wins; a NaN row stays on centroid 0.
+        let centroids = [f32::NAN, 1.0, 0.5, 0.5];
+        let rows = vec![vec![1.0, 1.0], vec![f32::NAN, 1.0]];
+        check(&rows, &centroids, 2, 2);
+        assert_eq!(assign(&rows, &centroids, 2, 2), vec![1, 0]);
     }
 
     #[test]
