@@ -2,7 +2,7 @@
 //! as a versioned artifact.
 //!
 //! Sweeps synthetic leaf-corpus sizes (1k → 100k full scale; a trimmed
-//! sweep under `--smoke` / `NASSIM_SMOKE=1` for CI), and at each scale
+//! sweep under `--smoke` for CI), and at each scale
 //! measures single-thread query throughput and recall@10 of the three
 //! [`RetrievalMode`]s against the exact sharded scan:
 //!
@@ -12,51 +12,34 @@
 //! * **ann** — IVF probe (auto probe count) + quantized cluster scan +
 //!   exact rescore.
 //!
-//! Writes `BENCH_ann.json` and exits non-zero if (a) the written JSON
-//! fails the shape re-read, or (b) — on hardware with at least
-//! [`GATE_MIN_HW_THREADS`] threads, full (non-smoke) mode — the ANN mode
-//! misses the ≥[`ANN_SPEEDUP_FLOOR`]× exact-scan QPS floor or the
-//! recall@10 ≥ [`ANN_RECALL_FLOOR`] floor at the [`GATE_LEAVES`]-leaf
-//! point. Below the hardware bar (or in smoke mode) the gates are
-//! report-only, matching the repo's hardware-conditional convention.
+//! Writes `BENCH_ann.json` and exits non-zero if (a) at any sweep point
+//! exact recall is not 1, quantized or ANN recall@10 falls under 0.90,
+//! or either mode reports no throughput, or (b) — on multi-core hardware,
+//! full (non-smoke) mode — the ANN mode misses its ≥10× exact-scan QPS
+//! floor or its recall@10 ≥ 0.95 floor at the [`GATE_LEAVES`]-leaf point.
+//! Below the hardware bar (or in smoke mode, whose sweep stops short of
+//! the gate point) those two gates are report-only. Every threshold is in
+//! [`nassim_bench::gates::ann`].
 
 use nassim_bench::fixtures::HashEmbedder;
+use nassim_bench::gates::ann::{self as gates, GATE_LEAVES};
+use nassim_bench::report::{time_ms, Report};
 use nassim_datasets::words::{ATTR_WORDS, FEATURE_WORDS, OBJECT_WORDS};
 use nassim_datasets::{catalog::Catalog, udmgen};
 use nassim_mapper::context::Context;
 use nassim_mapper::models::Mapper;
 use nassim_mapper::RetrievalMode;
-use std::time::Instant;
 
 /// Leaf-count sweep in full mode. The 100k point is the gate point the
 /// acceptance criteria pin; 1k and 10k chart the trajectory.
 const FULL_SWEEP: [usize; 3] = [1_000, 10_000, 100_000];
 /// Trimmed sweep for CI smoke runs.
 const SMOKE_SWEEP: [usize; 2] = [1_000, 5_000];
-/// The scale at which the hard gates apply.
-const GATE_LEAVES: usize = 100_000;
-/// ANN must beat the exact scan by at least this QPS factor at the gate
-/// point…
-const ANN_SPEEDUP_FLOOR: f64 = 10.0;
-/// …while keeping at least this recall@10 against it.
-const ANN_RECALL_FLOOR: f64 = 0.95;
-/// Minimum hardware threads before the wall-clock gates enforce.
-const GATE_MIN_HW_THREADS: usize = 4;
 /// Queries per scale: enough to average out per-query variance while
 /// keeping the full sweep under a minute of query time.
 const QUERY_COUNT: usize = 64;
 /// Fixed seed: the sweep is a pure function of this artifact.
 const SEED: u64 = 77;
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64() * 1e3)
-}
 
 /// Queries drawn from the synthetic generator's own vocabulary, so the
 /// rankings are non-trivial at every scale.
@@ -109,24 +92,12 @@ struct ScalePoint {
 }
 
 #[derive(serde::Serialize)]
-struct Gates {
-    hardware_threads: usize,
-    /// True when the gate point was measured (full mode) on qualifying
-    /// hardware — only then do the floors abort.
-    enforced: bool,
-    gate_leaves: usize,
-    ann_min_speedup: f64,
-    ann_min_recall_at_10: f64,
-}
-
-#[derive(serde::Serialize)]
 struct AnnBench {
     seed: u64,
     smoke: bool,
     queries: usize,
     k: usize,
     sweep: Vec<ScalePoint>,
-    gates: Gates,
 }
 
 /// Time `recommend_prepared` over the prepared query set; returns QPS
@@ -150,15 +121,15 @@ fn measure(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("NASSIM_SMOKE").map(|v| v != "0").unwrap_or(false);
+    let mut report = Report::new("ann");
+    let smoke = report.smoke();
     let sweep: Vec<usize> = if smoke {
         SMOKE_SWEEP.to_vec()
     } else {
         FULL_SWEEP.to_vec()
     };
     let k = 10usize;
-    let hw = hardware_threads();
+    let hw = report.hardware_threads();
     let catalog = Catalog::base();
     let queries = queries();
     let query_refs: Vec<&Context> = queries.iter().collect();
@@ -244,95 +215,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    let gate_point_measured = points.iter().any(|p| p.leaves >= GATE_LEAVES);
-    let enforced = !smoke && gate_point_measured && hw >= GATE_MIN_HW_THREADS;
-    let bench = AnnBench {
+    report.gate(&gates::SWEEP_POINTS, points.len());
+    for p in &points {
+        report.gate_at(&gates::EXACT_RECALL, p.leaves, p.exact.recall_at_10);
+        report.gate_at(&gates::QUANTIZED_RECALL, p.leaves, p.quantized.recall_at_10);
+        report.gate_at(&gates::QUANTIZED_QPS, p.leaves, p.quantized.qps);
+        report.gate_at(&gates::ANN_RECALL, p.leaves, p.ann.recall_at_10);
+        report.gate_at(&gates::ANN_QPS, p.leaves, p.ann.qps);
+    }
+    match points.iter().find(|p| p.leaves >= GATE_LEAVES) {
+        Some(p) => {
+            report.gate_at(&gates::GATE_SPEEDUP, GATE_LEAVES, p.ann.speedup_vs_exact);
+            report.gate_at(&gates::GATE_RECALL, GATE_LEAVES, p.ann.recall_at_10);
+        }
+        None => {
+            report.unmeasured_at(&gates::GATE_SPEEDUP, GATE_LEAVES);
+            report.unmeasured_at(&gates::GATE_RECALL, GATE_LEAVES);
+        }
+    }
+    report.finish(&AnnBench {
         seed: SEED,
         smoke,
         queries: queries.len(),
         k,
         sweep: points,
-        gates: Gates {
-            hardware_threads: hw,
-            enforced,
-            gate_leaves: GATE_LEAVES,
-            ann_min_speedup: ANN_SPEEDUP_FLOOR,
-            ann_min_recall_at_10: ANN_RECALL_FLOOR,
-        },
-    };
-    let json = serde_json::to_string_pretty(&bench)?;
-    std::fs::write("BENCH_ann.json", &json)?;
-    println!("  wrote BENCH_ann.json");
-
-    // ── Shape gate: re-read what landed on disk. ──────────────────────
-    let reread: serde::Value = serde_json::from_str(&std::fs::read_to_string("BENCH_ann.json")?)?;
-    for key in ["sweep", "gates", "queries", "k"] {
-        if reread.get(key).is_none() {
-            eprintln!("FAIL: BENCH_ann.json missing key {key:?}");
-            std::process::exit(1);
-        }
-    }
-    let Some(serde::Value::Arr(sweep_json)) = reread.get("sweep") else {
-        eprintln!("FAIL: BENCH_ann.json sweep is not an array");
-        std::process::exit(1);
-    };
-    if sweep_json.len() != bench.sweep.len() {
-        eprintln!("FAIL: BENCH_ann.json sweep length mismatch");
-        std::process::exit(1);
-    }
-    for point in sweep_json {
-        for key in ["leaves", "exact", "quantized", "ann"] {
-            if point.get(key).is_none() {
-                eprintln!("FAIL: BENCH_ann.json sweep point missing {key:?}");
-                std::process::exit(1);
-            }
-        }
-        for mode in ["exact", "quantized", "ann"] {
-            let numeric = point
-                .get(mode)
-                .and_then(|m| m.get("qps"))
-                .is_some_and(|v| matches!(v, serde::Value::Num(_)));
-            if !numeric {
-                eprintln!("FAIL: BENCH_ann.json {mode}.qps missing or non-numeric");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // ── Hard gates at the 100k point. ─────────────────────────────────
-    let mut failed = false;
-    if let Some(gate) = bench.sweep.iter().find(|p| p.leaves >= GATE_LEAVES) {
-        let speedup_ok = gate.ann.speedup_vs_exact >= ANN_SPEEDUP_FLOOR;
-        let recall_ok = gate.ann.recall_at_10 >= ANN_RECALL_FLOOR;
-        if !speedup_ok {
-            eprintln!(
-                "{}: ann {:.2}x exact QPS at {} leaves, floor {ANN_SPEEDUP_FLOOR}x",
-                if enforced { "FAIL" } else { "note (report-only)" },
-                gate.ann.speedup_vs_exact,
-                gate.leaves
-            );
-            failed |= enforced;
-        }
-        if !recall_ok {
-            eprintln!(
-                "{}: ann recall@10 {:.3} at {} leaves, floor {ANN_RECALL_FLOOR}",
-                if enforced { "FAIL" } else { "note (report-only)" },
-                gate.ann.recall_at_10,
-                gate.leaves
-            );
-            failed |= enforced;
-        }
-    } else {
-        println!(
-            "  gate point ({GATE_LEAVES} leaves) not in sweep — gates report-only (smoke={smoke})"
-        );
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "  gates: {} (>= {ANN_SPEEDUP_FLOOR}x and recall@10 >= {ANN_RECALL_FLOOR} at {GATE_LEAVES} leaves)",
-        if enforced { "ENFORCED — PASS" } else { "report-only" }
-    );
-    Ok(())
+    })
 }

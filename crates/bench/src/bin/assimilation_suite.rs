@@ -13,19 +13,21 @@
 //! truth) and drives a save → load → query round trip whose rankings
 //! must match the in-memory store's.
 //!
-//! Writes `BENCH_assimilation_suite.json` and exits non-zero if (a) any
-//! full/incremental pair diverges bitwise, (b) any round trip changes a
-//! ranking, (c) the written JSON fails the shape check, or (d) — on
-//! hardware with at least [`GATE_MIN_HW_THREADS`] threads, outside smoke
-//! mode — the helix 1%-edit incremental run is under the
-//! [`INCREMENTAL_FLOOR_1PCT`]× speedup floor. `--smoke` (or
-//! `NASSIM_SMOKE=1`) caps the manual scale for quick CI lanes; the
-//! equality gates stay armed there, the wall-clock floor reports only.
+//! Writes `BENCH_assimilation_suite.json` and exits non-zero if (a) a
+//! vendor is missing, (b) any full/incremental pair diverges bitwise,
+//! (c) any round trip changes a ranking, or (d) — on multi-core
+//! hardware, outside smoke mode — the helix 1%-edit incremental run is
+//! under its 5× speedup floor (thresholds in
+//! [`nassim_bench::gates::assimilation_suite`]). `--smoke` caps the
+//! manual scale for quick CI lanes; the equality gates stay armed there,
+//! the wall-clock floor reports only.
 
 use nassim::diag::NassimError;
 use nassim::pipeline::{assimilate_with, Assimilation};
 use nassim::{assimilate_incremental, ArtifactStore};
 use nassim_bench::fixtures::{vendor_scale, SEED};
+use nassim_bench::gates::assimilation_suite as gates;
+use nassim_bench::report::{time_ms, Report};
 use nassim_corpus::fnv1a_str;
 use nassim_datasets::{
     apply_edit_plan, catalog::Catalog, manualgen, style, udmgen, EditPlan, Manual,
@@ -37,32 +39,14 @@ use nassim_mapper::{evaluate, Embedder, Mapper};
 use nassim_nlp::{BatchEncoder, Encoder, EncoderConfig, Vocab};
 use nassim_parser::parser_for;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Manual-scale cap in smoke mode (CI quick lane).
 const SMOKE_SCALE: usize = 60;
 /// Edit rates measured per vendor: 1% is the "vendor shipped a touch-up"
 /// case the acceptance gate reads, 50% the worst realistic revision.
 const EDIT_RATES: [f64; 3] = [0.01, 0.10, 0.50];
-/// Acceptance floor: incremental vs. full wall-clock at the 1% edit
-/// rate on the Table-1-scale helix fixture.
-const INCREMENTAL_FLOOR_1PCT: f64 = 5.0;
-/// Minimum hardware threads before the wall-clock floor enforces: below
-/// this the parse fan-outs both paths share behave too differently from
-/// the CI runners the floor was calibrated on.
-const GATE_MIN_HW_THREADS: usize = 4;
 /// Top-k rankings compared per equality check.
 const TOPK_QUERIES: usize = 20;
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64() * 1e3)
-}
 
 #[derive(serde::Serialize)]
 struct RateRecord {
@@ -101,20 +85,10 @@ struct VendorRecord {
 }
 
 #[derive(serde::Serialize)]
-struct SpeedupGates {
-    hardware_threads: usize,
-    /// True when the wall-clock floor below aborts on failure (multi-core
-    /// hardware, full scale). The equality gates are always fatal.
-    enforced: bool,
-    incremental_min_speedup_1pct: f64,
-}
-
-#[derive(serde::Serialize)]
 struct SuiteBench {
     seed: u64,
     smoke: bool,
     vendors: Vec<VendorRecord>,
-    gates: SpeedupGates,
 }
 
 /// Top-k rankings over the first [`TOPK_QUERIES`] VDM parameter
@@ -310,110 +284,37 @@ fn run_vendor(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("NASSIM_SMOKE").map(|v| v != "0").unwrap_or(false);
+    let mut report = Report::new("assimilation_suite");
+    let smoke = report.smoke();
     let budget = IngestBudget::default();
-    let hw = hardware_threads();
 
-    println!("Assimilation suite: smoke={smoke}, {hw} hardware threads");
+    println!(
+        "Assimilation suite: smoke={smoke}, {} hardware threads",
+        report.hardware_threads()
+    );
     let mut vendors = Vec::new();
     for vendor in style::VENDORS {
         vendors.push(run_vendor(vendor, smoke, &budget)?);
     }
 
-    let bench = SuiteBench {
-        seed: SEED,
-        smoke,
-        vendors,
-        gates: SpeedupGates {
-            hardware_threads: hw,
-            enforced: hw >= GATE_MIN_HW_THREADS && !smoke,
-            incremental_min_speedup_1pct: INCREMENTAL_FLOOR_1PCT,
-        },
-    };
-    let json = serde_json::to_string_pretty(&bench)?;
-    std::fs::write("BENCH_assimilation_suite.json", &json)?;
-    println!("  wrote BENCH_assimilation_suite.json");
-
-    // ── Shape gate: re-read what landed on disk. ──────────────────────
-    let reread: serde::Value =
-        serde_json::from_str(&std::fs::read_to_string("BENCH_assimilation_suite.json")?)?;
-    for key in ["seed", "smoke", "vendors", "gates"] {
-        if reread.get(key).is_none() {
-            eprintln!("FAIL: BENCH_assimilation_suite.json missing key {key:?}");
-            std::process::exit(1);
-        }
-    }
-    let vendor_count = match reread.get("vendors") {
-        Some(serde::Value::Arr(v)) => v.len(),
-        _ => 0,
-    };
-    if vendor_count != style::VENDORS.len() {
-        eprintln!("FAIL: expected {} vendor records, found {vendor_count}", style::VENDORS.len());
-        std::process::exit(1);
-    }
-    if let Some(serde::Value::Arr(vs)) = reread.get("vendors") {
-        for v in vs {
-            for key in ["rates", "mapper", "pages"] {
-                if v.get(key).is_none() {
-                    eprintln!("FAIL: vendor record missing key {key:?}");
-                    std::process::exit(1);
-                }
-            }
-            if let Some(serde::Value::Arr(rs)) = v.get("rates") {
-                for r in rs {
-                    let numeric = ["full_ms", "incremental_ms", "speedup"].iter().all(|k| {
-                        matches!(r.get(k), Some(serde::Value::Num(_)))
-                    });
-                    if !numeric {
-                        eprintln!("FAIL: rate record has missing or non-numeric timings");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-    }
-
-    // ── Hard gates. ───────────────────────────────────────────────────
-    // Equality is scale-independent and always fatal.
-    for v in &bench.vendors {
+    report.gate(&gates::VENDORS, vendors.len());
+    for v in &vendors {
         for r in &v.rates {
-            if !r.bitwise_match {
-                eprintln!(
-                    "FAIL: {} @ {:.0}% edits: incremental diverged bitwise from full",
-                    v.vendor,
-                    r.rate * 100.0
-                );
-                std::process::exit(1);
-            }
+            let at = format!("{}@{:.0}%", v.vendor, r.rate * 100.0);
+            report.gate_at(&gates::BITWISE_MATCH, at, r.bitwise_match);
         }
-        if !v.mapper.roundtrip_match {
-            eprintln!("FAIL: {}: save -> load -> query changed rankings", v.vendor);
-            std::process::exit(1);
-        }
+        report.gate_at(&gates::ROUNDTRIP_MATCH, &v.vendor, v.mapper.roundtrip_match);
     }
-    // Wall-clock floor: helix (the Table-1-scale fixture) at 1% edits.
-    let helix_1pct = bench
-        .vendors
+    let helix_1pct = vendors
         .iter()
         .find(|v| v.vendor == "helix")
         .and_then(|v| v.rates.iter().find(|r| (r.rate - 0.01).abs() < 1e-9))
         .map(|r| r.speedup)
         .unwrap_or(0.0);
-    if helix_1pct < INCREMENTAL_FLOOR_1PCT {
-        if bench.gates.enforced {
-            eprintln!(
-                "FAIL: helix 1%-edit incremental speedup {helix_1pct:.2}x under the {INCREMENTAL_FLOOR_1PCT}x floor"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "  note: helix 1%-edit speedup {helix_1pct:.2}x below the {INCREMENTAL_FLOOR_1PCT}x floor — not enforced (smoke={smoke}, {hw} hardware thread(s))"
-        );
-    }
-    println!(
-        "  gates: bitwise equality PASS, round-trip PASS, helix 1% {helix_1pct:.2}x (floor {INCREMENTAL_FLOOR_1PCT}x {})",
-        if bench.gates.enforced { "ENFORCED" } else { "report-only" }
-    );
-    Ok(())
+    report.gate(&gates::INCREMENTAL_SPEEDUP_1PCT, helix_1pct);
+    report.finish(&SuiteBench {
+        seed: SEED,
+        smoke,
+        vendors,
+    })
 }

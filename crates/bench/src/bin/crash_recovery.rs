@@ -16,7 +16,8 @@
 //!    idempotent resubmit must be byte-identical to an uninterrupted
 //!    control daemon.
 //!
-//! Gates are structural (loss, parity, convergence, class coverage) —
+//! Gates are structural (loss, parity, convergence, class coverage,
+//! injections per phase; see [`nassim_bench::gates::crash_recovery`]) —
 //! never wall-clock numbers, which are reported only.
 
 use nassim::datasets::{catalog::Catalog, manualgen, style};
@@ -24,6 +25,8 @@ use nassim::html::IngestBudget;
 use nassim::parser::parser_for;
 use nassim::diag::NassimError;
 use nassim::{assimilate_incremental, orphan_count, ArtifactStore, CrashPlan, CrashPoint};
+use nassim_bench::gates::crash_recovery as gates;
+use nassim_bench::report::Report;
 use nassim_serve::{
     JobJournal, JournalRecord, Reply, Request, ServeClient, ServeConfig, ServeDaemon, ServeState,
     StateOptions,
@@ -437,6 +440,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    let mut report = Report::new("crash_recovery");
     let bench = CrashBench {
         seeds: SEEDS.to_vec(),
         store_rate: STORE_RATE,
@@ -453,38 +457,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         journal,
         kill_restart,
     };
-    std::fs::write(
-        "BENCH_crash_recovery.json",
-        serde_json::to_string_pretty(&bench)?,
-    )?;
-    println!("  wrote BENCH_crash_recovery.json");
-
-    let mut failures = Vec::new();
-    if !bench.zero_committed_loss {
-        failures.push("an injected crash damaged a committed store".to_string());
+    report.gate(&gates::ZERO_COMMITTED_LOSS, bench.zero_committed_loss);
+    report.gate(&gates::JOURNAL_CONVERGED, bench.journal_converged);
+    report.gate(&gates::BYTE_PARITY, bench.byte_parity);
+    report.gate(&gates::ZERO_JOB_LOSS, bench.zero_job_loss);
+    report.gate(&gates::CRASH_CLASSES, bench.crash_classes_seen);
+    report.gate(&gates::STORE_SEEDS, bench.store.len());
+    report.gate(&gates::JOURNAL_SEEDS, bench.journal.len());
+    report.gate(&gates::KILL_SEEDS, bench.kill_restart.len());
+    report.gate(
+        &gates::STORE_INJECTIONS,
+        bench.store.iter().map(|s| s.injections).sum::<usize>(),
+    );
+    report.gate(
+        &gates::TORN_APPENDS,
+        bench.journal.iter().map(|j| j.torn_appends).sum::<usize>(),
+    );
+    for s in &bench.store {
+        report.gate_at(&gates::ORPHANS, format!("seed {}", s.seed), s.orphans_after_clean_save);
     }
-    if !bench.journal_converged {
-        failures.push("a torn journal failed to converge at replay".to_string());
+    for k in &bench.kill_restart {
+        report.gate_at(&gates::JOB_DONE, format!("seed {}", k.seed), k.job_done_after_restart);
     }
-    if !bench.byte_parity {
-        failures.push("recovery lost byte parity with the uninterrupted control".to_string());
-    }
-    if !bench.zero_job_loss {
-        failures.push("a journaled job was lost across SIGKILL".to_string());
-    }
-    if bench.crash_classes_seen != CrashPoint::ALL.len() {
-        failures.push(format!(
-            "only {}/{} crash classes exercised",
-            bench.crash_classes_seen,
-            CrashPoint::ALL.len()
-        ));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("All crash-recovery gates passed.");
-    Ok(())
+    report.finish(&bench)
 }

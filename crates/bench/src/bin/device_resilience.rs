@@ -6,12 +6,16 @@
 //! [`FaultPlan`] injecting every fault class — and records what the
 //! retry/reconnect machinery cost: wall-clock per run, per-class
 //! injection counts, retries, reconnects, and the added latency per
-//! pushed node. Writes `BENCH_device_resilience.json`.
+//! pushed node. Writes `BENCH_device_resilience.json` and exits non-zero
+//! if the chaos run accepted or read back a different node count than
+//! the baseline.
 
 use nassim::datasets::{catalog::Catalog, manualgen, style};
 use nassim::deviceize::{spawn_device, DeviceSpawnOptions};
 use nassim::parser::parser_for;
 use nassim::pipeline::assimilate;
+use nassim_bench::gates::device_resilience as gates;
+use nassim_bench::report::Report;
 use nassim_device::faults::{FaultKind, FaultPlan};
 use nassim_device::resilient::{ResiliencePolicy, WallClock};
 use nassim_validator::{validate_on_device_with, DevicePush};
@@ -83,6 +87,7 @@ fn run_stats(out: &nassim_validator::DeviceValidation, wall_ms: f64) -> RunStats
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut report = Report::new("device_resilience");
     let catalog = Catalog::base();
     let st = style::vendor("helix")?;
     let manual = manualgen::generate(
@@ -160,9 +165,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in &injections {
         println!("    {:<8} {:>4} injected", i.kind, i.count);
     }
-    if chaos.accepted != baseline.accepted || chaos.readback_ok != baseline.readback_ok {
-        return Err("chaos run diverged from baseline counts — resilience regression".into());
-    }
+    report.gate(&gates::ACCEPTED, chaos.accepted == baseline.accepted);
+    report.gate(&gates::READBACK, chaos.readback_ok == baseline.readback_ok);
 
     let bench = ResilienceBench {
         fault_seed: FAULT_SEED,
@@ -177,10 +181,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  masking overhead: {:+.2} ms per node",
         bench.added_ms_per_node
     );
-    std::fs::write(
-        "BENCH_device_resilience.json",
-        serde_json::to_string_pretty(&bench)?,
-    )?;
-    println!("  wrote BENCH_device_resilience.json");
-    Ok(())
+    report.finish(&bench)
 }

@@ -24,23 +24,23 @@
 //! deterministic index-ordered merges in `nassim-exec` and covered by
 //! `tests/parallel_determinism.rs`.
 //!
-//! **Gates.** `mapper_evaluation` parallel speedup ≥ 2.0× and every
-//! stage ≥ 1.0× are *hardware-conditional*: wall-clock parallel wins
-//! require real cores, so the thresholds are enforced (non-zero exit)
-//! only when the machine reports at least 4 hardware threads — e.g. the
-//! CI `parallel-speedup` job — and reported-only below that. The JSON
-//! records the hardware thread count and whether enforcement was on.
-//! `--smoke` (or `NASSIM_SMOKE=1`) shrinks the corpus for quick CI runs
-//! and never enforces.
+//! **Gates** ([`nassim_bench::gates::parallel`]). `mapper_evaluation`
+//! parallel speedup ≥ 2.0× and every stage ≥ 1.0× are
+//! *hardware-conditional*: wall-clock parallel wins require real cores,
+//! so the thresholds are enforced (non-zero exit) only when the machine
+//! reports at least 4 hardware threads — e.g. the CI `parallel-speedup`
+//! job — and reported-only below that. `--smoke` shrinks the corpus for
+//! quick CI runs and never enforces.
 
 use nassim_bench::fixtures::{mapping_experiment, HashEmbedder, MODEL_ORDER};
+use nassim_bench::gates::parallel as gates;
+use nassim_bench::report::{time_ms, Report};
 use nassim_datasets::{catalog::Catalog, manualgen, style, udmgen};
 use nassim_mapper::context::udm_leaf_context;
 use nassim_mapper::eval::{evaluate, EvalCase};
 use nassim_mapper::models::Mapper;
 use nassim_parser::{parser_for, run_parser};
 use nassim_validator::{audit_corpus, derive_hierarchy};
-use std::time::Instant;
 
 /// Table-1 magnitude: extra procedural commands on top of the base
 /// catalog (the paper's large vendors ship 12–14k CLIs / manual pages).
@@ -61,13 +61,6 @@ const SMOKE_DISTRACTORS: usize = 300;
 const SMOKE_EVAL_CASES: usize = 256;
 const SMOKE_SWEEP_QUERIES: usize = 24;
 const SMOKE_REPS: usize = 1;
-
-/// `mapper_evaluation` parallel-vs-serial wall-clock floor.
-const MAPPER_EVAL_MIN_SPEEDUP: f64 = 2.0;
-/// No stage may lose to its serial run.
-const MIN_STAGE_SPEEDUP: f64 = 1.0;
-/// Hardware threads required before the wall-clock floors enforce.
-const GATE_MIN_HW_THREADS: usize = 4;
 
 /// `hierarchy_derivation` parallel speedup recorded by the PR-5
 /// baseline `BENCH_parallel.json`, before the min-chunk fix — kept here
@@ -96,16 +89,6 @@ struct HierarchyFix {
 }
 
 #[derive(serde::Serialize)]
-struct SpeedupGates {
-    hardware_threads: usize,
-    /// True when the wall-clock floors below abort on failure.
-    enforced: bool,
-    mapper_evaluation_min_speedup: f64,
-    min_stage_speedup: f64,
-    failures: Vec<String>,
-}
-
-#[derive(serde::Serialize)]
 struct ParallelBench {
     smoke: bool,
     serial_threads: usize,
@@ -117,20 +100,6 @@ struct ParallelBench {
     stages: Vec<StageTiming>,
     sharding_sweep: Vec<ShardTiming>,
     hierarchy_fix: HierarchyFix,
-    gates: SpeedupGates,
-}
-
-fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Physical thread count — deliberately ignores `NASSIM_THREADS`, which
-/// says how many workers to *use*, not how many cores exist to win
-/// wall-clock on.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Min-of-`reps` wall clock for `f` under `threads` workers, after one
@@ -272,24 +241,6 @@ fn parallel_bench(smoke: bool) -> Result<ParallelBench, Box<dyn std::error::Erro
         sweep.push(t);
     }
 
-    // ── Gate evaluation (hardware-conditional). ───────────────────────
-    let hw = hardware_threads();
-    let enforced = !smoke && hw >= GATE_MIN_HW_THREADS;
-    let mut failures = Vec::new();
-    for t in &stages {
-        if t.stage == "mapper_evaluation" && t.speedup < MAPPER_EVAL_MIN_SPEEDUP {
-            failures.push(format!(
-                "mapper_evaluation speedup {:.2}x under the {MAPPER_EVAL_MIN_SPEEDUP}x floor",
-                t.speedup
-            ));
-        }
-        if t.speedup < MIN_STAGE_SPEEDUP {
-            failures.push(format!(
-                "{} speedup {:.2}x under the {MIN_STAGE_SPEEDUP}x floor",
-                t.stage, t.speedup
-            ));
-        }
-    }
     let hierarchy_after = stages
         .iter()
         .find(|t| t.stage == "hierarchy_derivation")
@@ -310,42 +261,19 @@ fn parallel_bench(smoke: bool) -> Result<ParallelBench, Box<dyn std::error::Erro
             speedup_before_fix: HIERARCHY_SPEEDUP_BEFORE_FIX,
             speedup_after_fix: hierarchy_after,
         },
-        gates: SpeedupGates {
-            hardware_threads: hw,
-            enforced,
-            mapper_evaluation_min_speedup: MAPPER_EVAL_MIN_SPEEDUP,
-            min_stage_speedup: MIN_STAGE_SPEEDUP,
-            failures,
-        },
     })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("NASSIM_SMOKE").map(|v| v != "0").unwrap_or(false);
-
-    let bench = parallel_bench(smoke)?;
-    let json = serde_json::to_string_pretty(&bench)?;
-    std::fs::write("BENCH_parallel.json", &json)?;
-    println!("  wrote BENCH_parallel.json");
-
-    if !bench.gates.failures.is_empty() {
-        if bench.gates.enforced {
-            for f in &bench.gates.failures {
-                eprintln!("FAIL: {f}");
-            }
-            std::process::exit(1);
+    let mut report = Report::new("parallel");
+    let bench = parallel_bench(report.smoke())?;
+    for t in &bench.stages {
+        if t.stage == "mapper_evaluation" {
+            report.gate(&gates::MAPPER_EVALUATION, t.speedup);
         }
-        for f in &bench.gates.failures {
-            println!(
-                "  note: {f} — not enforced ({} hardware thread(s){})",
-                bench.gates.hardware_threads,
-                if smoke { ", smoke" } else { "" }
-            );
-        }
-    } else if bench.gates.enforced {
-        println!("  gates: all wall-clock floors PASS (enforced)");
+        report.gate_at(&gates::STAGE, &t.stage, t.speedup);
     }
+    report.finish(&bench)?;
     println!();
 
     let outcome = mapping_experiment(&[10])?;

@@ -13,6 +13,8 @@ use nassim::datasets::corrupt::{CorruptKind, CorruptionPlan};
 use nassim::datasets::{catalog::Catalog, manualgen, style};
 use nassim::parser::parser_for;
 use nassim::pipeline::assimilate;
+use nassim_bench::gates::ingest_robustness as gates;
+use nassim_bench::report::Report;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -69,6 +71,7 @@ fn run_stats(a: &nassim::pipeline::Assimilation, wall_ms: f64) -> RunStats {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let mut report = Report::new("ingest_robustness");
     let catalog = Catalog::base();
     let st = style::vendor("helix")?;
     let manual = manualgen::generate(
@@ -178,41 +181,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clean_pages,
         clean_subset_parity: parity,
     };
-    let json = serde_json::to_string_pretty(&bench)?;
-    std::fs::write("BENCH_ingest_robustness.json", &json)?;
-    println!("  wrote BENCH_ingest_robustness.json");
-
-    // JSON-shape gate: re-read what we wrote and check the fields CI
-    // consumes are present and sane.
-    let back: serde::Value = serde_json::from_str(&json)?;
-    for field in [
-        "corrupt_seed",
-        "corrupt_rate",
-        "baseline",
-        "chaos",
-        "injections",
-        "pages_corrupted",
-        "pages_quarantined",
-        "pages_recovered",
-        "clean_pages",
-        "clean_subset_parity",
-    ] {
-        if back.get(field).is_none() {
-            return Err(format!("BENCH_ingest_robustness.json missing `{field}`").into());
-        }
-    }
-    for run in ["baseline", "chaos"] {
-        let stats = back
-            .get(run)
-            .ok_or_else(|| format!("missing `{run}` stats"))?;
-        for field in ["total_pages", "parsed", "quarantined", "wall_ms"] {
-            if stats.get(field).is_none() {
-                return Err(format!("`{run}` stats missing `{field}`").into());
-            }
-        }
-    }
-    if !parity {
-        return Err("clean-subset parity broken — robustness regression".into());
-    }
-    Ok(())
+    report.gate(&gates::CLEAN_SUBSET_PARITY, parity);
+    report.finish(&bench)
 }

@@ -21,11 +21,14 @@
 //! tape vs. batched. Writes `BENCH_mapper_inference.json` and exits
 //! non-zero if (a) any batched embedding is not **bitwise identical** to
 //! its tape twin, (b) the two evaluation reports disagree, (c) batched
-//! tape-free is under the 3× speedup floor, or (d) the written JSON
-//! fails the shape check. `--smoke` (or `NASSIM_SMOKE=1`) caps the text
-//! count for CI.
+//! tape-free is under the 3× speedup floor, or (d) on multi-core
+//! hardware, batched-parallel embedding is under 1.5× batched-serial
+//! (thresholds in [`nassim_bench::gates::mapper_inference`]). `--smoke`
+//! caps the text count for CI; every gate stays armed there.
 
 use nassim_bench::fixtures::SEED;
+use nassim_bench::gates::mapper_inference as gates;
+use nassim_bench::report::{time_ms, Report};
 use nassim_datasets::{catalog::Catalog, manualgen, style, udmgen};
 use nassim_mapper::context::udm_leaf_context;
 use nassim_mapper::eval::resolve_cases;
@@ -34,28 +37,10 @@ use nassim_mapper::{evaluate, EvalReport};
 use nassim_nlp::{BatchEncoder, Encoder, EncoderConfig, Vocab};
 use nassim::pipeline::assimilate;
 use nassim_parser::parser_for;
-use std::time::Instant;
 
 /// Texts kept in smoke mode (CI gate): enough to exercise dedup, the
 /// memo and both parallel paths while staying sub-second.
 const SMOKE_TEXTS: usize = 48;
-/// Acceptance floor: batched tape-free vs. the tape path.
-const SPEEDUP_FLOOR: f64 = 3.0;
-/// Acceptance floor: batched-parallel embedding vs. batched-serial.
-/// Enforced only on hardware with at least [`GATE_MIN_HW_THREADS`]
-/// cores — on a 1-core box a wall-clock parallel win is physically
-/// impossible, so the number is recorded but the gate reports-only.
-const PARALLEL_EMBED_FLOOR: f64 = 1.5;
-/// Minimum hardware threads before wall-clock parallel gates enforce.
-const GATE_MIN_HW_THREADS: usize = 4;
-
-/// Physical thread count — deliberately ignores `NASSIM_THREADS` and
-/// `with_threads`, which say how many workers to *use*, not how many
-/// cores exist to win wall-clock on.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// `Embedder` over the autograd tape — the pre-PR query path, kept as
 /// the ground truth both gates compare against.
 struct TapeEmbedder {
@@ -113,16 +98,6 @@ struct MemoReport {
     entries: usize,
 }
 
-/// Hardware-aware wall-clock gate record: thresholds are always written
-/// (CI reads them from here) but only enforced on multi-core hardware.
-#[derive(serde::Serialize)]
-struct SpeedupGates {
-    hardware_threads: usize,
-    /// True when the parallel wall-clock floors below abort on failure.
-    enforced: bool,
-    parallel_embedding_min_speedup: f64,
-}
-
 #[derive(serde::Serialize)]
 struct InferenceBench {
     seed: u64,
@@ -137,13 +112,6 @@ struct InferenceBench {
     mapper: MapperTimings,
     parity: ParityGate,
     memo: MemoReport,
-    gates: SpeedupGates,
-}
-
-fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64() * 1e3)
 }
 
 fn reports_match(a: &EvalReport, b: &EvalReport) -> bool {
@@ -156,8 +124,8 @@ fn reports_match(a: &EvalReport, b: &EvalReport) -> bool {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("NASSIM_SMOKE").map(|v| v != "0").unwrap_or(false);
+    let mut report = Report::new("mapper_inference");
+    let smoke = report.smoke();
 
     // ── Table-5 workload: helix manual → VDM, generated UDM, cases. ──
     let catalog = Catalog::base();
@@ -339,8 +307,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mapper.speedup, mapper.reports_match
     );
 
-    let hw = hardware_threads();
-    let bench = InferenceBench {
+    report.gate(&gates::BITWISE_MISMATCHES, parity.bitwise_mismatches);
+    report.gate(&gates::REPORTS_MATCH, mapper.reports_match);
+    report.gate(&gates::BATCHED_SPEEDUP, embedding.speedup_batched_vs_tape);
+    report.gate(&gates::PARALLEL_EMBED_SPEEDUP, embedding.speedup_parallel_vs_serial);
+    report.finish(&InferenceBench {
         seed: SEED,
         smoke,
         texts: texts.len(),
@@ -357,81 +328,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             misses: memo_stats.misses,
             entries: memo_stats.entries,
         },
-        gates: SpeedupGates {
-            hardware_threads: hw,
-            enforced: hw >= GATE_MIN_HW_THREADS,
-            parallel_embedding_min_speedup: PARALLEL_EMBED_FLOOR,
-        },
-    };
-    let json = serde_json::to_string_pretty(&bench)?;
-    std::fs::write("BENCH_mapper_inference.json", &json)?;
-    println!("  wrote BENCH_mapper_inference.json");
-
-    // ── Shape gate: re-read what landed on disk. ──────────────────────
-    let reread: serde::Value =
-        serde_json::from_str(&std::fs::read_to_string("BENCH_mapper_inference.json")?)?;
-    for key in [
-        "embedding",
-        "mapper",
-        "parity",
-        "memo",
-        "texts",
-        "parallel_threads",
-    ] {
-        if reread.get(key).is_none() {
-            eprintln!("FAIL: BENCH_mapper_inference.json missing key {key:?}");
-            std::process::exit(1);
-        }
-    }
-    for key in ["tape_ms", "tape_free_batched_serial_ms", "speedup_batched_vs_tape"] {
-        let numeric = reread
-            .get("embedding")
-            .and_then(|e| e.get(key))
-            .is_some_and(|v| matches!(v, serde::Value::Num(_)));
-        if !numeric {
-            eprintln!("FAIL: embedding.{key} missing or non-numeric");
-            std::process::exit(1);
-        }
-    }
-
-    // ── Hard gates. ───────────────────────────────────────────────────
-    if !bench.parity.pass {
-        eprintln!(
-            "FAIL: {} embeddings diverged bitwise from the tape path",
-            bench.parity.bitwise_mismatches
-        );
-        std::process::exit(1);
-    }
-    if !bench.mapper.reports_match {
-        eprintln!("FAIL: tape and batched evaluation reports disagree");
-        std::process::exit(1);
-    }
-    if bench.embedding.speedup_batched_vs_tape < SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: batched tape-free speedup {:.2}x under the {SPEEDUP_FLOOR}x floor",
-            bench.embedding.speedup_batched_vs_tape
-        );
-        std::process::exit(1);
-    }
-    // Wall-clock parallel floor: only meaningful with real cores behind
-    // the workers. Below the hardware bar the number is still printed
-    // and written so regressions stay visible in the JSON history.
-    if bench.embedding.speedup_parallel_vs_serial < PARALLEL_EMBED_FLOOR {
-        if bench.gates.enforced {
-            eprintln!(
-                "FAIL: batched-parallel embedding {:.2}x under the {PARALLEL_EMBED_FLOOR}x floor ({hw} hardware threads)",
-                bench.embedding.speedup_parallel_vs_serial
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "  note: batched-parallel {:.2}x below the {PARALLEL_EMBED_FLOOR}x floor — not enforced ({hw} hardware thread(s))",
-            bench.embedding.speedup_parallel_vs_serial
-        );
-    }
-    println!(
-        "  gates: parity PASS, report-equality PASS, >={SPEEDUP_FLOOR}x PASS, parallel-embed floor {}",
-        if bench.gates.enforced { "ENFORCED" } else { "report-only" }
-    );
-    Ok(())
+    })
 }

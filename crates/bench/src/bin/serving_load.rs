@@ -13,11 +13,15 @@
 //!    `health` keeps answering.
 //!
 //! Writes `BENCH_serving.json` and exits non-zero if any gate fails:
-//! a server panic, a parity violation, an accounting mismatch, an
-//! unaccounted load reply, or an overload probe that was not shed.
-//! Latency numbers are reported, not gated — they are machine-relative.
+//! a server panic, a parity violation, an accounting mismatch, a seed
+//! that injected nothing, an unaccounted or errored load reply, a load
+//! phase with no latency or throughput, or an overload probe that was
+//! not shed (see [`nassim_bench::gates::serving`]). Latency values are
+//! gated only for being measured at all — they are machine-relative.
 
 use nassim::datasets::{catalog::Catalog, manualgen, style};
+use nassim_bench::gates::serving as gates;
+use nassim_bench::report::Report;
 use nassim_serve::{
     run_chaos, AdmissionConfig, ChaosOptions, ErrKind, Reply, Request, ServeClient, ServeConfig,
     ServeDaemon, ServeFaultKind, ServeFaultPlan, ServeState, StateOptions,
@@ -407,6 +411,7 @@ fn overload_phase(state: &Arc<ServeState>) -> Result<OverloadStats, Box<dyn std:
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Serving bench: chaos matrix, open-loop load, deterministic overload");
+    let mut report = Report::new("serving");
     let t = Instant::now();
     let (state, _) = ServeState::build(&StateOptions::default())?;
     let build_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -474,54 +479,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         load,
         overload,
     };
-    std::fs::write("BENCH_serving.json", serde_json::to_string_pretty(&bench)?)?;
-    println!("  wrote BENCH_serving.json");
-
-    // Gates: structural resilience properties, never wall-clock numbers.
-    let mut failures = Vec::new();
-    if !bench.zero_panics {
-        failures.push("server handlers panicked under chaos".to_string());
+    report.gate(&gates::ZERO_PANICS, bench.zero_panics);
+    report.gate(&gates::PARITY_VIOLATIONS, bench.parity_violations_total);
+    report.gate(&gates::ACCOUNTING_MISMATCHES, bench.accounting_mismatches_total);
+    report.gate(&gates::FAULT_CLASSES, bench.fault_classes_seen);
+    report.gate(&gates::CHAOS_SEEDS, bench.chaos.len());
+    for s in &bench.chaos {
+        report.gate_at(&gates::INJECTED, format!("seed {}", s.seed), s.injected_total);
     }
-    if bench.parity_violations_total > 0 {
-        failures.push(format!(
-            "{} byte-parity violations",
-            bench.parity_violations_total
-        ));
-    }
-    if bench.accounting_mismatches_total > 0 {
-        failures.push(format!(
-            "{} fault-accounting mismatches",
-            bench.accounting_mismatches_total
-        ));
-    }
-    if bench.fault_classes_seen != ServeFaultKind::ALL.len() {
-        failures.push(format!(
-            "only {}/{} fault classes exercised",
-            bench.fault_classes_seen,
-            ServeFaultKind::ALL.len()
-        ));
-    }
-    if bench.load.ok + bench.load.shed + bench.load.errors != bench.load.issued {
-        failures.push("load replies do not sum to issued requests".to_string());
-    }
-    if bench.load.errors > 0 {
-        failures.push(format!("{} load requests errored", bench.load.errors));
-    }
-    if bench.overload.shed != bench.overload.issued {
-        failures.push(format!(
-            "overload probes not all shed: {}/{}",
-            bench.overload.shed, bench.overload.issued
-        ));
-    }
-    if !bench.overload.health_answered_under_overload {
-        failures.push("health did not answer under overload".to_string());
-    }
-    if !bench.overload.held_request_completed {
-        failures.push("held request did not complete".to_string());
-    }
-    if !failures.is_empty() {
-        return Err(format!("serving bench gates failed: {}", failures.join("; ")).into());
-    }
-    println!("  all serving gates passed");
-    Ok(())
+    let load = &bench.load;
+    report.gate(
+        &gates::LOAD_UNACCOUNTED,
+        load.issued as f64 - (load.ok + load.shed + load.errors) as f64,
+    );
+    report.gate(&gates::LOAD_ERRORS, load.errors);
+    report.gate(&gates::LOAD_P50, load.p50_ms);
+    report.gate(&gates::LOAD_P99_SPREAD, load.p99_ms - load.p50_ms);
+    report.gate(&gates::LOAD_QPS, load.qps);
+    let overload = &bench.overload;
+    report.gate(&gates::OVERLOAD_UNSHED, overload.issued as f64 - overload.shed as f64);
+    report.gate(&gates::HEALTH_UNDER_OVERLOAD, overload.health_answered_under_overload);
+    report.gate(&gates::HELD_COMPLETED, overload.held_request_completed);
+    report.finish(&bench)
 }

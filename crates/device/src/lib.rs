@@ -54,6 +54,8 @@ pub mod resilient;
 pub mod server;
 pub mod session;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use client::DeviceClient;
 pub use faults::{FaultKind, FaultPlan, InjectedFault};
 pub use framing::{read_frame, Frame, FrameAccumulator, MAX_FRAME_BYTES};
@@ -65,3 +67,9 @@ pub use resilient::{
 };
 pub use server::DeviceServer;
 pub use session::Session;
+
+/// Lock `m`, recovering the guard if a holder panicked, so one panicked
+/// session does not fail every later lock of the shared state.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

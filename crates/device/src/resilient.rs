@@ -21,11 +21,11 @@
 
 use crate::client::DeviceClient;
 use crate::protocol::Response;
-use parking_lot::Mutex;
+use crate::lock;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Is a `-ERR` message a transient device condition worth retrying?
@@ -67,18 +67,18 @@ impl ManualClock {
 
     /// Every duration passed to [`Clock::sleep`], in call order.
     pub fn slept(&self) -> Vec<Duration> {
-        self.slept.lock().clone()
+        lock(&self.slept).clone()
     }
 
     /// Total virtual time slept.
     pub fn total_slept(&self) -> Duration {
-        self.slept.lock().iter().sum()
+        lock(&self.slept).iter().sum()
     }
 }
 
 impl Clock for ManualClock {
     fn sleep(&self, duration: Duration) {
-        self.slept.lock().push(duration);
+        lock(&self.slept).push(duration);
     }
 }
 

@@ -13,11 +13,11 @@ use crate::model::DeviceModel;
 use crate::protocol::Response;
 use crate::session::{Accepted, Session};
 use nassim_diag::NassimError;
-use parking_lot::Mutex;
+use crate::lock;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A running device server; dropping the handle stops it.
@@ -80,7 +80,7 @@ impl DeviceServer {
                                 &conn_shutdown,
                                 conn_faults.as_deref(),
                             ) {
-                                conn_errors.lock().push(NassimError::Device {
+                                lock(&conn_errors).push(NassimError::Device {
                                     reason: format!("session failed: {e}"),
                                 });
                             }
@@ -90,15 +90,14 @@ impl DeviceServer {
                             // Reap finished session threads as we go, so
                             // long-lived servers don't accumulate one dead
                             // JoinHandle per past connection.
-                            let mut conns = accept_conns.lock();
+                            let mut conns = lock(&accept_conns);
                             conns.retain(|h| !h.is_finished());
                             conns.push(handle);
                         }
                         Err(e) => {
                             // Thread exhaustion: this connection is dropped,
                             // but the server keeps serving others.
-                            accept_errors
-                                .lock()
+                            lock(&accept_errors)
                                 .push(NassimError::io("spawn session thread", &e));
                         }
                     }
@@ -121,12 +120,12 @@ impl DeviceServer {
 
     /// Drain the typed errors recorded by failed or unspawnable sessions.
     pub fn take_session_errors(&self) -> Vec<NassimError> {
-        std::mem::take(&mut *self.session_errors.lock())
+        std::mem::take(&mut *lock(&self.session_errors))
     }
 
     /// Connection threads still running (reaps finished ones first).
     pub fn live_sessions(&self) -> usize {
-        let mut conns = self.conn_threads.lock();
+        let mut conns = lock(&self.conn_threads);
         conns.retain(|h| !h.is_finished());
         conns.len()
     }
@@ -141,7 +140,7 @@ impl DeviceServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.conn_threads.lock().drain(..) {
+        for t in lock(&self.conn_threads).drain(..) {
             let _ = t.join();
         }
     }

@@ -10,8 +10,7 @@
 //! shed with [`ShedReason::Draining`] while already-admitted requests
 //! run to completion.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` (the vendored `parking_lot`
-//! carries no condition variable). Lock poisoning cannot corrupt the
+//! Built on `std::sync::{Mutex, Condvar}`. Lock poisoning cannot corrupt the
 //! gate — the state is a handful of counters — so poisoned locks are
 //! recovered, not propagated.
 

@@ -49,7 +49,8 @@ use crate::protocol::valid_job_id;
 use nassim::corpus::{fnv1a_str, Fnv1a};
 use nassim::{append_record, global_crash_plan, CrashPlan, MAX_STORE_BYTES};
 use nassim_diag::{Diagnostic, NassimError, Stage};
-use parking_lot::Mutex;
+use crate::lock;
+use std::sync::Mutex;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -456,10 +457,10 @@ impl JobJournal {
         }
         let mut line = rec.to_line();
         line.push('\n');
-        let mut file = self.file.lock();
+        let mut file = lock(&self.file);
         match append_record(&mut file, &self.log_path, line.as_bytes(), plan) {
             Ok(()) => {
-                apply_record(&mut self.jobs.lock(), rec.clone());
+                apply_record(&mut lock(&self.jobs), rec.clone());
                 Ok(())
             }
             Err(e) => {
@@ -474,13 +475,13 @@ impl JobJournal {
     /// Current state of one job. Clones a pending job's pages; the
     /// accessors below read single fields without that copy.
     pub fn job(&self, id: &str) -> Option<JobState> {
-        self.jobs.lock().get(id).cloned()
+        lock(&self.jobs).get(id).cloned()
     }
 
     /// Run `f` on one job's state under the index lock, without cloning
     /// it.
     pub fn with_job<R>(&self, id: &str, f: impl FnOnce(&JobState) -> R) -> Option<R> {
-        self.jobs.lock().get(id).map(f)
+        lock(&self.jobs).get(id).map(f)
     }
 
     /// Whether `stage` of job `id` is already durably recorded.
@@ -490,14 +491,13 @@ impl JobJournal {
 
     /// The recorded reply payload of a done job.
     pub fn done_result(&self, id: &str) -> Option<Value> {
-        self.jobs.lock().get(id).and_then(|s| s.result.clone())
+        lock(&self.jobs).get(id).and_then(|s| s.result.clone())
     }
 
     /// Jobs with a `submitted` record but no `done` record — the work a
     /// restarted daemon must finish (in deterministic id order).
     pub fn pending_jobs(&self) -> Vec<(String, JobState)> {
-        self.jobs
-            .lock()
+        lock(&self.jobs)
             .iter()
             .filter(|(_, s)| !s.is_done())
             .map(|(id, s)| (id.clone(), s.clone()))
@@ -506,19 +506,19 @@ impl JobJournal {
 
     /// Number of pending jobs, counted without cloning them.
     pub fn pending_count(&self) -> usize {
-        self.jobs.lock().values().filter(|s| !s.is_done()).count()
+        lock(&self.jobs).values().filter(|s| !s.is_done()).count()
     }
 
     /// Total jobs the journal knows about.
     pub fn job_count(&self) -> usize {
-        self.jobs.lock().len()
+        lock(&self.jobs).len()
     }
 
     /// Append raw bytes without framing or fsync — test-only hook for
     /// fabricating torn tails without a kill.
     #[doc(hidden)]
     pub fn debug_append_raw(&self, bytes: &[u8]) -> std::io::Result<()> {
-        self.file.lock().write_all(bytes)
+        lock(&self.file).write_all(bytes)
     }
 }
 
@@ -814,7 +814,7 @@ mod tests {
             assert_done_and_pending(&journal, &done, &pending);
             // A `submitted` replayed after `done` (a crash-resumed
             // resubmit) does not bring the pages back.
-            apply_record(&mut journal.jobs.lock(), done.clone());
+            apply_record(&mut lock(&journal.jobs), done.clone());
             assert!(journal.job("done-1").unwrap().pages.is_empty());
         }
         let (journal, diags) = JobJournal::open(&dir).unwrap();

@@ -46,6 +46,8 @@ pub mod protocol;
 pub mod server;
 pub mod state;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use admission::{Admission, AdmissionConfig, Deadline, Permit, ShedReason};
 pub use client::ServeClient;
 pub use faults::{
@@ -55,3 +57,9 @@ pub use journal::{JobJournal, JobState, JournalRecord, JOURNAL_FILE};
 pub use protocol::{valid_job_id, ErrKind, ErrReply, Reply, Request, MAX_JOB_ID_LEN};
 pub use server::{CounterSnapshot, ServeConfig, ServeDaemon, ServeEvent, EVENT_LOG_CAP};
 pub use state::{DemoEmbedder, ServeState, StateOptions, VendorEntry, DEMO_SEED};
+
+/// Lock `m`, recovering the guard if a holder panicked, so one panicked
+/// session does not fail every later lock of the shared state.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

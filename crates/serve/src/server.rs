@@ -21,7 +21,7 @@ use nassim_diag::NassimError;
 use nassim_html::IngestBudget;
 use nassim_mapper::Context;
 use nassim_parser::{parser_for, VendorParser};
-use parking_lot::Mutex;
+use crate::lock;
 use serde::Value;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -193,7 +193,7 @@ impl ServeDaemon {
                 counters
                     .journal_torn
                     .fetch_add(journal.torn_at_open(), Ordering::Relaxed);
-                let mut log = events.lock();
+                let mut log = lock(&events);
                 for d in diags {
                     log.push(ServeEvent::DurabilityDegraded { detail: d.message });
                 }
@@ -233,7 +233,7 @@ impl ServeDaemon {
                         let _ = stream.write_all(line.as_bytes());
                         let _ = stream.write_all(b"\n");
                         ctx.counters.shed_draining.fetch_add(1, Ordering::Relaxed);
-                        ctx.events.lock().push(ServeEvent::Shed {
+                        lock(&ctx.events).push(ServeEvent::Shed {
                             op: "connect".to_string(),
                             reason: ShedReason::Draining,
                         });
@@ -249,7 +249,7 @@ impl ServeDaemon {
                             let _ = serve_connection(stream, &conn_ctx);
                         });
                     if let Ok(handle) = spawned {
-                        let mut conns = accept_conns.lock();
+                        let mut conns = lock(&accept_conns);
                         conns.retain(|h| !h.is_finished());
                         conns.push(handle);
                     }
@@ -303,14 +303,14 @@ impl ServeDaemon {
     /// [`EVENT_LOG_CAP`] events are retained between calls; see
     /// [`ServeDaemon::dropped_events`] for the eviction tally.
     pub fn take_events(&self) -> Vec<ServeEvent> {
-        self.events.lock().take()
+        lock(&self.events).take()
     }
 
     /// Total events evicted from the bounded log since startup (a
     /// long-running daemon that is never drained keeps only the most
     /// recent [`EVENT_LOG_CAP`] events).
     pub fn dropped_events(&self) -> u64 {
-        self.events.lock().dropped
+        lock(&self.events).dropped
     }
 
     /// Graceful drain: stop admitting, shed the queue, wait for every
@@ -322,7 +322,7 @@ impl ServeDaemon {
         self.admission.wait_idle();
         if first {
             let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-            self.events.lock().push(ServeEvent::Drained { generation });
+            lock(&self.events).push(ServeEvent::Drained { generation });
         }
     }
 
@@ -338,7 +338,7 @@ impl ServeDaemon {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for t in self.conn_threads.lock().drain(..) {
+        for t in lock(&self.conn_threads).drain(..) {
             let _ = t.join();
         }
     }
@@ -394,7 +394,7 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) -> io::Result<()> {
                 let partial = frames.partial_len();
                 if partial > 0 {
                     ctx.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-                    ctx.events.lock().push(ServeEvent::Disconnect { partial });
+                    lock(&ctx.events).push(ServeEvent::Disconnect { partial });
                 }
                 return Ok(());
             }
@@ -408,8 +408,7 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) -> io::Result<()> {
                 // Oversized or non-UTF-8 frame: typed reply, then drop
                 // the connection (the stream is no longer frame-aligned).
                 ctx.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                ctx.events
-                    .lock()
+                lock(&ctx.events)
                     .push(ServeEvent::Malformed { detail: e.to_string() });
                 let _ = write_line(
                     &mut writer,
@@ -427,7 +426,7 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) -> io::Result<()> {
         // they are still inside handle_request).
         if ctx.draining.load(Ordering::SeqCst) {
             ctx.counters.shed_draining.fetch_add(1, Ordering::Relaxed);
-            ctx.events.lock().push(ServeEvent::Shed {
+            lock(&ctx.events).push(ServeEvent::Shed {
                 op: "request".to_string(),
                 reason: ShedReason::Draining,
             });
@@ -457,7 +456,7 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) -> io::Result<()> {
             Err(payload) => {
                 let payload = panic_payload(payload);
                 ctx.counters.panics.fetch_add(1, Ordering::Relaxed);
-                ctx.events.lock().push(ServeEvent::Panicked {
+                lock(&ctx.events).push(ServeEvent::Panicked {
                     op,
                     payload: payload.clone(),
                 });
@@ -500,7 +499,7 @@ fn handle_request(
             // frames, which always fail *parsing*, not dispatch.
             if err.kind == ErrKind::Malformed {
                 ctx.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                ctx.events.lock().push(ServeEvent::Malformed {
+                lock(&ctx.events).push(ServeEvent::Malformed {
                     detail: err.message.clone(),
                 });
             }
@@ -540,7 +539,7 @@ fn handle_request(
                     ),
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                ctx.events.lock().push(ServeEvent::Shed {
+                lock(&ctx.events).push(ServeEvent::Shed {
                     op: request.op().to_string(),
                     reason,
                 });
@@ -684,7 +683,7 @@ fn health_payload(ctx: &ConnCtx) -> Value {
         ("disconnects".to_string(), Value::Num(c.disconnects as f64)),
         (
             "events_dropped".to_string(),
-            Value::Num(ctx.events.lock().dropped as f64),
+            Value::Num(lock(&ctx.events).dropped as f64),
         ),
         ("jobs_journaled".to_string(), Value::Num(c.jobs_journaled as f64)),
         ("jobs_recovered".to_string(), Value::Num(c.jobs_recovered as f64)),
@@ -739,7 +738,7 @@ fn deadline_reply(
     message: &str,
 ) -> io::Result<()> {
     ctx.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    ctx.events.lock().push(ServeEvent::DeadlineExpired {
+    lock(&ctx.events).push(ServeEvent::DeadlineExpired {
         op: op.to_string(),
         stage: stage.to_string(),
     });
@@ -890,14 +889,14 @@ fn load_job_store(ctx: &ConnCtx, journal: &JobJournal, job: &str) -> ArtifactSto
     }
     match ArtifactStore::load_lossy(&path) {
         Ok((store, diags)) => {
-            let mut log = ctx.events.lock();
+            let mut log = lock(&ctx.events);
             for d in diags {
                 log.push(ServeEvent::DurabilityDegraded { detail: d.message });
             }
             store
         }
         Err(e) => {
-            ctx.events.lock().push(ServeEvent::DurabilityDegraded {
+            lock(&ctx.events).push(ServeEvent::DurabilityDegraded {
                 detail: format!("job `{job}` store unusable, recomputing from journal: {e}"),
             });
             ArtifactStore::new()
@@ -937,7 +936,7 @@ fn submit_manual(
     };
 
     let durability_err = |ctx: &ConnCtx, stage: &str, err: &NassimError| -> ErrReply {
-        ctx.events.lock().push(ServeEvent::DurabilityDegraded {
+        lock(&ctx.events).push(ServeEvent::DurabilityDegraded {
             detail: format!("submit stage `{stage}`: {err}"),
         });
         ErrReply::new(
@@ -1116,8 +1115,7 @@ fn recover_pending_jobs(
     events: &Arc<Mutex<EventLog>>,
 ) {
     let degrade = |detail: String| {
-        events
-            .lock()
+        lock(events)
             .push(ServeEvent::DurabilityDegraded { detail });
     };
     for (job, state) in journal.pending_jobs() {
@@ -1171,7 +1169,7 @@ fn recover_pending_jobs(
                     Ok(()) => {
                         journal.remove_job_store(&job);
                         counters.jobs_recovered.fetch_add(1, Ordering::Relaxed);
-                        events.lock().push(ServeEvent::JobRecovered { job });
+                        lock(events).push(ServeEvent::JobRecovered { job });
                     }
                     Err(e) => degrade(format!("recovered job `{job}` could not journal: {e}")),
                 }

@@ -14,7 +14,7 @@ use nassim::pipeline::assimilate;
 const GARBAGE_URL: &str = "https://manuals.example/helix/broken-page.html";
 
 /// A seeded defective manual plus one page of markup rubble.
-fn defective_manual() -> manualgen::Manual {
+fn defective_manual(ambiguity_rate: f64) -> manualgen::Manual {
     let st = style::vendor("helix").unwrap();
     let mut m = manualgen::generate(
         &st,
@@ -22,7 +22,7 @@ fn defective_manual() -> manualgen::Manual {
         &manualgen::GenOptions {
             seed: 400,
             syntax_error_rate: 0.08,
-            ambiguity_rate: 0.0,
+            ambiguity_rate,
             ..Default::default()
         },
     );
@@ -37,7 +37,7 @@ fn defective_manual() -> manualgen::Manual {
 
 #[test]
 fn damaged_pages_become_diagnostics_not_aborts() {
-    let m = defective_manual();
+    let m = defective_manual(0.0);
     let healthy_pages = m.catalog.commands.len();
     let a = assimilate(
         parser_for("helix").unwrap().as_ref(),
@@ -79,32 +79,42 @@ fn damaged_pages_become_diagnostics_not_aborts() {
 
 #[test]
 fn diagnostics_sort_by_severity_and_round_trip_json() {
-    let m = defective_manual();
-    let a = assimilate(
-        parser_for("helix").unwrap().as_ref(),
-        m.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
-    )
-    .unwrap();
-    let report = a.report("Helix/NE40E/2021", None);
+    // Without and with planted ambiguities, so ambiguity diagnostics
+    // round-trip too.
+    for ambiguity_rate in [0.0, 0.05] {
+        let m = defective_manual(ambiguity_rate);
+        let a = assimilate(
+            parser_for("helix").unwrap().as_ref(),
+            m.pages.iter().map(|p| (p.url.as_str(), p.html.as_str())),
+        )
+        .unwrap();
+        if ambiguity_rate > 0.0 {
+            assert!(
+                a.diagnostics.for_stage(Stage::Hierarchy).next().is_some(),
+                "planted ambiguities produced no hierarchy diagnostics"
+            );
+        }
+        let report = a.report("Helix/NE40E/2021", None);
 
-    // Errors lead, warnings follow.
-    let severities: Vec<Severity> = report
-        .diagnostics
-        .diagnostics
-        .iter()
-        .map(|d| d.severity)
-        .collect();
-    let mut sorted = severities.clone();
-    sorted.sort();
-    assert_eq!(severities, sorted, "diagnostics not sorted by severity");
+        // Errors lead, warnings follow.
+        let severities: Vec<Severity> = report
+            .diagnostics
+            .diagnostics
+            .iter()
+            .map(|d| d.severity)
+            .collect();
+        let mut sorted = severities.clone();
+        sorted.sort();
+        assert_eq!(severities, sorted, "diagnostics not sorted by severity");
 
-    // JSON round-trip preserves every record.
-    let json = report.diagnostics.to_json();
-    let back = DiagReport::from_json(&json).unwrap();
-    assert_eq!(report.diagnostics, back);
+        // JSON round-trip preserves every record.
+        let json = report.diagnostics.to_json();
+        let back = DiagReport::from_json(&json).unwrap();
+        assert_eq!(report.diagnostics, back);
 
-    // The human rendering names stages and spans.
-    let human = report.diagnostics.render_human();
-    assert!(human.contains("[syntax]"), "{human}");
-    assert!(human.contains("-->"), "{human}");
+        // The human rendering names stages and spans.
+        let human = report.diagnostics.render_human();
+        assert!(human.contains("[syntax]"), "{human}");
+        assert!(human.contains("-->"), "{human}");
+    }
 }
